@@ -8,7 +8,8 @@ Two differentiation tools live here:
 * ``Jet2`` — a truncated second-order Taylor triple (value, d1, d2) along
   one seeded input direction. Components may be floats, numpy arrays, or
   ``Var`` nodes, so jets nest over the reverse-mode record
-  (forward-over-reverse) without extra machinery.
+  (forward-over-reverse) without extra machinery. ``d2`` may be None: the
+  jet is then first order, and every jet computed from it is too.
 
 The module-level functions ``exp``, ``tanh``, ``sin``, ... dispatch on the
 argument type, so the same formula runs on plain numbers, arrays, tapes,
@@ -237,7 +238,11 @@ def transpose(x: Var) -> Var:
 
 @dataclass(frozen=True)
 class Jet2:
-    """Value with first and second derivatives along one seeded direction."""
+    """Value with first and second derivatives along one seeded direction.
+
+    ``d2`` is None when the second derivative is not carried; it then stays
+    None through every operation instead of reading as zero.
+    """
 
     value: Scalar
     d1: Scalar
@@ -248,13 +253,15 @@ class Jet2:
 
     def __add__(self, other):
         o = _as_jet(other)
-        return Jet2(self.value + o.value, self.d1 + o.d1, self.d2 + o.d2)
+        return Jet2(self.value + o.value, self.d1 + o.d1,
+                    self.d2 + o.d2 if _carried(self, o) else None)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = _as_jet(other)
-        return Jet2(self.value - o.value, self.d1 - o.d1, self.d2 - o.d2)
+        return Jet2(self.value - o.value, self.d1 - o.d1,
+                    self.d2 - o.d2 if _carried(self, o) else None)
 
     def __rsub__(self, other):
         return _as_jet(other).__sub__(self)
@@ -264,7 +271,8 @@ class Jet2:
         return Jet2(
             self.value * o.value,
             self.d1 * o.value + self.value * o.d1,
-            self.d2 * o.value + 2.0 * self.d1 * o.d1 + self.value * o.d2,
+            self.d2 * o.value + 2.0 * self.d1 * o.d1 + self.value * o.d2
+            if _carried(self, o) else None,
         )
 
     __rmul__ = __mul__
@@ -274,21 +282,26 @@ class Jet2:
         _check_nonzero(o.value)
         value = self.value / o.value
         d1 = (self.d1 - value * o.d1) / o.value
-        d2 = (self.d2 - 2.0 * d1 * o.d1 - value * o.d2) / o.value
+        d2 = (self.d2 - 2.0 * d1 * o.d1 - value * o.d2) / o.value if _carried(self, o) else None
         return Jet2(value, d1, d2)
 
     def __rtruediv__(self, other):
         return _as_jet(other).__truediv__(self)
 
     def __neg__(self):
-        return Jet2(-self.value, -self.d1, -self.d2)
+        return Jet2(-self.value, -self.d1, -self.d2 if _carried(self) else None)
 
     def __pow__(self, n):
         if not isinstance(n, int):
             raise ConfigError("Jet2.__pow__ supports integer exponents only")
         f1 = n * self.value ** (n - 1)
         f2 = n * (n - 1) * self.value ** (n - 2)
-        return Jet2(self.value**n, f1 * self.d1, f2 * self.d1 * self.d1 + f1 * self.d2)
+        d2 = f2 * self.d1 * self.d1 + f1 * self.d2 if _carried(self) else None
+        return Jet2(self.value**n, f1 * self.d1, d2)
+
+
+def _carried(*jets: Jet2) -> bool:
+    return all(j.d2 is not None for j in jets)
 
 
 def _as_jet(x) -> Jet2:
@@ -321,7 +334,7 @@ def exp(x):
         return _var_unary(x, e, e)
     if isinstance(x, Jet2):
         e = exp(x.value)
-        return Jet2(e, e * x.d1, e * (x.d1 * x.d1 + x.d2))
+        return Jet2(e, e * x.d1, e * (x.d1 * x.d1 + x.d2) if _carried(x) else None)
     return np.exp(x)
 
 
@@ -332,7 +345,8 @@ def tanh(x):
     if isinstance(x, Jet2):
         t = tanh(x.value)
         sech2 = 1.0 - t * t
-        return Jet2(t, sech2 * x.d1, sech2 * x.d2 - 2.0 * t * sech2 * x.d1 * x.d1)
+        d2 = sech2 * x.d2 - 2.0 * t * sech2 * x.d1 * x.d1 if _carried(x) else None
+        return Jet2(t, sech2 * x.d1, d2)
     return np.tanh(x)
 
 
@@ -341,7 +355,7 @@ def sin(x):
         return _var_unary(x, np.sin(x.data), np.cos(x.data))
     if isinstance(x, Jet2):
         s, c = sin(x.value), cos(x.value)
-        return Jet2(s, c * x.d1, -s * x.d1 * x.d1 + c * x.d2)
+        return Jet2(s, c * x.d1, -s * x.d1 * x.d1 + c * x.d2 if _carried(x) else None)
     return np.sin(x)
 
 
@@ -350,7 +364,7 @@ def cos(x):
         return _var_unary(x, np.cos(x.data), -np.sin(x.data))
     if isinstance(x, Jet2):
         s, c = sin(x.value), cos(x.value)
-        return Jet2(c, -s * x.d1, -c * x.d1 * x.d1 - s * x.d2)
+        return Jet2(c, -s * x.d1, -c * x.d1 * x.d1 - s * x.d2 if _carried(x) else None)
     return np.cos(x)
 
 
@@ -359,7 +373,7 @@ def log(x):
         return _var_unary(x, np.log(x.data), 1.0 / x.data)
     if isinstance(x, Jet2):
         d1 = x.d1 / x.value
-        return Jet2(log(x.value), d1, x.d2 / x.value - d1 * d1)
+        return Jet2(log(x.value), d1, x.d2 / x.value - d1 * d1 if _carried(x) else None)
     return np.log(x)
 
 
@@ -372,7 +386,7 @@ def softplus(x):
         return Jet2(
             softplus(x.value),
             sig * x.d1,
-            sig * (1.0 - sig) * x.d1 * x.d1 + sig * x.d2,
+            sig * (1.0 - sig) * x.d1 * x.d1 + sig * x.d2 if _carried(x) else None,
         )
     return np.logaddexp(0.0, x)
 
@@ -385,7 +399,7 @@ def sigmoid(x):
         s = sigmoid(x.value)
         ds = s * (1.0 - s)
         d2s = ds * (1.0 - 2.0 * s)
-        return Jet2(s, ds * x.d1, d2s * x.d1 * x.d1 + ds * x.d2)
+        return Jet2(s, ds * x.d1, d2s * x.d1 * x.d1 + ds * x.d2 if _carried(x) else None)
     return expit(x)
 
 

@@ -87,7 +87,8 @@ def _cmd_solve(args) -> int:
     out_dir = experiment.output_root(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"stage1_{config.preset}_seed{config.seed}.json"
-    stage1.save_result(result, path, experiment._problem_overrides(config))
+    stage1.save_result(result, path, experiment._problem_overrides(config),
+                       experiment.stage1_digest(config))
     print(f"stage1: {path} (final mean squared residual "
           f"{result.loss_history[-1][1]:.3e})")
     return 0

@@ -11,6 +11,7 @@ temporary name and is renamed into place only when complete.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -173,9 +174,8 @@ def _net_config(config: ExperimentConfig, problem, resolved) -> nets.MLPConfig:
     )
 
 
-def run_stage1(config: ExperimentConfig, problem=None) -> stage1.Stage1Result:
+def _stage1_configs(config: ExperimentConfig, problem) -> tuple[nets.MLPConfig, stage1.TrainConfig]:
     resolved = config.resolved()
-    problem = problem or build_problem(config)
     net_config = _net_config(config, problem, resolved)
     train_config = stage1.TrainConfig(
         n_collocation=resolved["n_collocation"],
@@ -186,7 +186,26 @@ def run_stage1(config: ExperimentConfig, problem=None) -> stage1.Stage1Result:
         tolerance=config.tolerance,
         dataset_grid=resolved["dataset_grid"],
     )
-    return stage1.train_deterministic(problem, net_config, train_config)
+    return net_config, train_config
+
+
+def run_stage1(config: ExperimentConfig, problem=None) -> stage1.Stage1Result:
+    problem = problem or build_problem(config)
+    return stage1.train_deterministic(problem, *_stage1_configs(config, problem))
+
+
+def stage1_digest(config: ExperimentConfig, problem=None) -> str:
+    """sha256 over everything the stage-1 solve of `config` depends on: the
+    preset and its overrides, the network config and the training config.
+    A cached stage-1 file is reused only when its digest is equal."""
+    problem = problem or build_problem(config)
+    net_config, train_config = _stage1_configs(config, problem)
+    settings = {
+        "problem": {"name": problem.name, "overrides": _problem_overrides(config)},
+        "net_config": dataclasses.asdict(net_config),
+        "train_config": dataclasses.asdict(train_config),
+    }
+    return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
 def run_method(config: ExperimentConfig, result: stage1.Stage1Result) -> PredictiveBand:
@@ -258,8 +277,8 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def run(config: ExperimentConfig) -> RunArtifacts:
-    """Full pipeline; reuses a config-compatible cached stage-1 file when
-    present. Artifacts: band CSV, stage-1 JSON, report JSON, config echo."""
+    """Full pipeline; reuses a cached stage-1 file when its settings digest
+    equals this config's. Artifacts: band CSV, stage-1 JSON, report JSON, config echo."""
     resolved = config.resolved()
     problem = build_problem(config)
     out_dir = output_root(config)
@@ -267,14 +286,15 @@ def run(config: ExperimentConfig) -> RunArtifacts:
     tag = f"{config.preset}_seed{config.seed}"
     stage1_path = out_dir / f"stage1_{tag}.json"
 
+    digest = stage1_digest(config, problem)
     result = None
     if config.reuse_stage1 and stage1_path.exists():
         cached = stage1.load_result(stage1_path)
-        if _stage1_compatible(cached, config, resolved):
+        if cached.settings_digest == digest:
             result = cached
     if result is None:
         result = run_stage1(config, problem)
-        stage1.save_result(result, stage1_path, _problem_overrides(config))
+        stage1.save_result(result, stage1_path, _problem_overrides(config), digest)
 
     band = run_method(config, result)
     reference = problems.reference_solution(problem, band.grid)
@@ -312,19 +332,6 @@ def _problem_overrides(config: ExperimentConfig) -> dict:
     if config.preset == "lotka_volterra":
         return {"lv_standard_form": config.lv_standard_form}
     return {}
-
-
-def _stage1_compatible(cached: stage1.Stage1Result, config: ExperimentConfig,
-                       resolved: dict) -> bool:
-    cfg = cached.params.config
-    return (
-        cached.problem.name == config.preset
-        and cfg.hidden_sizes == tuple(resolved["hidden_sizes"])
-        and cfg.activation == config.activation
-        and cfg.seed == derive_seed(config.seed, "stage1_init")
-        and len(cached.loss_history) - 1 <= resolved["epochs_stage1"]
-        and cached.dataset_points.shape[0] == resolved["dataset_grid"] ** cached.problem.input_dim
-    )
 
 
 def _coord_names(dim: int) -> list[str]:

@@ -5,6 +5,11 @@ network, the probabilistic regression head, and the four-channel evidential
 head. Parameters flatten to a single vector in a canonical order
 (layer-major, weights before biases, row-major within each weight matrix),
 which every gradient-based routine in the package relies on.
+
+Derivatives of the network with respect to its inputs come from
+``JetKernel``, a fused Taylor-mode forward pass with a hand-derived
+backward pass; value-only passes (``values_batch``) run on arrays or on
+the reverse-mode tape.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
+from scipy.special import expit
 
 from .autodiff import Jet2, Var, exp, sin, softplus, tanh
 from .errors import ConfigError, StructuralError
@@ -149,44 +155,229 @@ def split_flat_var(config: MLPConfig, flat: Var) -> tuple[list, list]:
     return weights, biases
 
 
-def _affine_jet(h: Jet2, W, b) -> Jet2:
-    # the layer is linear, so each jet component maps through it independently
-    Wt = W.T
-    return Jet2(h.value @ Wt + b, h.d1 @ Wt, h.d2 @ Wt)
+def _tanh_derivatives(z, h, d1, d2, d3):
+    np.tanh(z, out=h)
+    np.multiply(h, h, out=d1)
+    np.subtract(1.0, d1, out=d1)  # 1 - t^2
+    np.multiply(h, d1, out=d2)
+    d2 *= -2.0  # -2 t (1 - t^2)
+    if d3 is not None:  # 2 s (2 - 3 s) with s = 1 - t^2
+        np.multiply(d1, -3.0, out=d3)
+        d3 += 2.0
+        d3 *= d1
+        d3 *= 2.0
 
 
-def forward_batch(config: MLPConfig, weights: Sequence, biases: Sequence, x: Jet2) -> Jet2:
-    """Evaluate the network on a batch jet with components of shape (n, input_dim).
+def _sin_derivatives(z, h, d1, d2, d3):
+    np.sin(z, out=h)
+    np.cos(z, out=d1)
+    np.negative(h, out=d2)
+    if d3 is not None:
+        np.negative(d1, out=d3)
 
-    Weights may be numpy arrays or Var nodes; returns a jet with components
-    of shape (n, output_dim).
+
+def _softplus_derivatives(z, h, d1, d2, d3):
+    np.logaddexp(0.0, z, out=h)
+    expit(z, out=d1)
+    np.subtract(1.0, d1, out=d2)
+    d2 *= d1  # s (1 - s)
+    if d3 is not None:  # s (1 - s) (1 - 2 s)
+        np.multiply(d1, -2.0, out=d3)
+        d3 += 1.0
+        d3 *= d2
+
+
+def _rbf_derivatives(z, h, d1, d2, d3):
+    np.multiply(z, z, out=d2)  # z^2, until d2 is formed below
+    np.negative(d2, out=h)
+    np.exp(h, out=h)
+    if d3 is not None:  # 4 z (3 - 2 z^2) e
+        np.multiply(d2, -2.0, out=d3)
+        d3 += 3.0
+        d3 *= z
+        d3 *= 4.0
+        d3 *= h
+    d2 *= 4.0
+    d2 -= 2.0
+    d2 *= h  # (4 z^2 - 2) e
+    np.multiply(z, h, out=d1)
+    d1 *= -2.0  # -2 z e
+
+
+# activation value and its first three derivatives, written into buffers;
+# the third derivative is skipped (d3 None) when no second derivative is carried
+_JET_DERIVATIVES = {
+    "tanh": _tanh_derivatives,
+    "sin": _sin_derivatives,
+    "softplus": _softplus_derivatives,
+    "rbf": _rbf_derivatives,
+}
+
+
+def _dense(prev: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    # one product over all streams; only the value stream gets the bias
+    rows = prev.shape[0] * prev.shape[1]
+    np.matmul(prev.reshape(rows, -1), W.T, out=out.reshape(rows, -1))
+    out[0] += b
+
+
+class JetKernel:
+    """Fused Taylor-mode pass of one network over a fixed batch of points.
+
+    For every point the kernel carries the network value once, one tangent
+    per seeded input direction of order 1 or 2, and a second derivative
+    only along the directions of order 2; a direction of order 0 is not
+    carried. The streams are stacked as (S, n, width) arrays, so each dense
+    layer is one matrix product over all of them, and the backward pass is
+    hand-derived for the dense and activation layers. Stream 0 is the
+    value, streams 1..m the tangents and the last q streams the second
+    derivatives; internally the directions of order 2 come first.
+    ``stream`` maps a (direction, order) pair to its index.
+
+    Every buffer is allocated here, once, and overwritten in place by each
+    ``forward``; ``backward`` reads what the latest ``forward`` stored.
     """
-    act = _ACTIVATIONS[config.activation]
-    h = x
-    last = len(weights) - 1
-    for i, (W, b) in enumerate(zip(weights, biases)):
-        h = _affine_jet(h, W, b)
-        if i != last:
-            h = act(h)
-    return h
+
+    def __init__(self, config: MLPConfig, points: np.ndarray,
+                 seeds: np.ndarray, orders: Sequence[int]):
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
+        if points.shape[1] != config.input_dim or seeds.shape[1] != config.input_dim:
+            raise StructuralError("points and seeds must have input_dim columns")
+        if seeds.shape[0] != len(orders) or any(o not in (0, 1, 2) for o in orders):
+            raise StructuralError("need one derivative order, 0 to 2, per seed")
+        self.config = config
+        self.points = points
+        self._perm = sorted((j for j, o in enumerate(orders) if o), key=lambda j: -orders[j])
+        m = self._m = len(self._perm)
+        q = self._q = sum(o == 2 for o in orders)
+        S, n = 1 + m + q, points.shape[0]
+
+        self._x = np.zeros((S, n, config.input_dim))
+        self._x[0] = points
+        self._x[1 : 1 + m] = seeds[self._perm][:, None, :]
+        self._act = _JET_DERIVATIVES[config.activation]
+        widths = config.hidden_sizes
+        self._z = [np.empty((S, n, w)) for w in widths]  # pre-activation streams
+        self._h = [np.empty((S, n, w)) for w in widths]  # post-activation streams
+        self._g = [np.empty((S, n, w)) for w in widths]  # their cotangents
+        # first, second and (with q > 0) third derivative of the activation
+        self._d = [np.empty((3 if q else 2, n, w)) for w in widths]
+        self._sq = [np.empty((q, n, w)) for w in widths]  # squared tangents
+        self._tmp = [np.empty((S - 1, n, w)) for w in widths]
+        self._acc = [np.empty((n, w)) for w in widths]
+        self._out = np.empty((S, n, config.output_dim))
+        self._params = np.empty(config.n_params)
+        self._grad = np.empty(config.n_params)
+        self._generation = 0
+
+    def stream(self, direction: int, order: int) -> int:
+        """Index of the derivative of the given order along a seeded
+        direction; order 0 is the value stream."""
+        if order == 0:
+            return 0
+        if direction in self._perm:
+            j = self._perm.index(direction)
+            if order == 1:
+                return 1 + j
+            if order == 2 and j < self._q:
+                return 1 + self._m + j
+        raise StructuralError(f"order {order} is not carried along direction {direction}")
+
+    def forward(self, flat: np.ndarray) -> np.ndarray:
+        """Output streams for a flat parameter vector, shape (S, n, output_dim)."""
+        self._generation += 1
+        m, q = self._m, self._q
+        self._params[...] = flat
+        params = MLPParams.from_flat(self.config, self._params)
+        layers = list(zip(params.weights, params.biases))
+        prev = self._x
+        for i, (W, b) in enumerate(layers[:-1]):
+            z, h, d = self._z[i], self._h[i], self._d[i]
+            _dense(prev, W, b, z)
+            self._act(z[0], h[0], d[0], d[1], d[2] if q else None)
+            np.multiply(z[1 : 1 + m], d[0], out=h[1 : 1 + m])
+            if q:
+                sq, tmp = self._sq[i], self._tmp[i][:q]
+                np.multiply(z[1 : 1 + q], z[1 : 1 + q], out=sq)
+                np.multiply(sq, d[1], out=h[1 + m :])
+                np.multiply(z[1 + m :], d[0], out=tmp)
+                h[1 + m :] += tmp
+            prev = h
+        _dense(prev, *layers[-1], self._out)
+        return self._out.copy()
+
+    def backward(self, g: np.ndarray) -> np.ndarray:
+        """Flat parameter gradient, given the cotangent of the output
+        streams of the latest ``forward``."""
+        m, q = self._m, self._q
+        weights = MLPParams.from_flat(self.config, self._params).weights
+        grads = MLPParams.from_flat(self.config, self._grad)  # views into _grad
+        g = np.ascontiguousarray(g, dtype=float)
+        for i in range(len(weights) - 1, -1, -1):
+            prev = self._h[i - 1] if i else self._x
+            rows = prev.shape[0] * prev.shape[1]
+            np.matmul(g.reshape(rows, -1).T, prev.reshape(rows, -1), out=grads.weights[i])
+            np.sum(g[0], axis=0, out=grads.biases[i])
+            if i == 0:
+                break
+            k = i - 1
+            G, z, d, tmp, acc = self._g[k], self._z[k], self._d[k], self._tmp[k], self._acc[k]
+            np.matmul(g.reshape(rows, -1), weights[i], out=G.reshape(rows, -1))
+            # G holds the cotangent of layer k's activations; turn it into
+            # that of its pre-activations in place. The value stream reads
+            # every other stream's cotangent, so it goes first.
+            np.multiply(z[1:], G[1:], out=tmp)
+            np.sum(tmp, axis=0, out=acc)
+            acc *= d[1]
+            G[0] *= d[0]
+            G[0] += acc
+            if q:
+                np.multiply(self._sq[k], G[1 + m :], out=tmp[:q])
+                np.sum(tmp[:q], axis=0, out=acc)
+                acc *= d[2]
+                G[0] += acc
+            G[1 : 1 + m] *= d[0]
+            if q:
+                np.multiply(z[1 : 1 + q], G[1 + m :], out=tmp[:q])
+                tmp[:q] *= d[1]
+                tmp[:q] *= 2.0
+                G[1 : 1 + q] += tmp[:q]
+                G[1 + m :] *= d[0]
+            g = G
+        return self._grad.copy()
+
+    def apply(self, flat: Var) -> Var:
+        """The kernel as one node of the reverse-mode record."""
+        out = self.forward(flat.data)
+        generation = self._generation
+
+        def vjp(g):
+            if generation != self._generation:
+                raise StructuralError("the jet kernel ran forward again before this backward pass")
+            return (self.backward(g),)
+
+        return Var(out, (flat,), vjp)
 
 
 def forward(params: MLPParams, inputs: Sequence[Jet2]) -> list[Jet2]:
-    """Evaluate on one point given as a jet per input coordinate."""
+    """Evaluate on one point given as a seeded jet per input coordinate
+    (d2 = 0; the d1 components form the direction)."""
     if len(inputs) != params.config.input_dim:
         raise StructuralError(
             f"expected {params.config.input_dim} input jets, got {len(inputs)}"
         )
-    batch = Jet2(
-        np.array([[float(j.value) for j in inputs]]),
-        np.array([[float(j.d1) for j in inputs]]),
-        np.array([[float(j.d2) for j in inputs]]),
+    if any(float(j.d2) != 0.0 for j in inputs):
+        raise StructuralError("input jets must be seeded (d2 = 0)")
+    kernel = JetKernel(
+        params.config,
+        [[float(j.value) for j in inputs]],
+        [[float(j.d1) for j in inputs]],
+        (2,),
     )
-    out = forward_batch(params.config, params.weights, params.biases, batch)
-    return [
-        Jet2(float(out.value[0, k]), float(out.d1[0, k]), float(out.d2[0, k]))
-        for k in range(params.config.output_dim)
-    ]
+    out = kernel.forward(params.flat())
+    return [Jet2(float(out[0, 0, k]), float(out[1, 0, k]), float(out[2, 0, k]))
+            for k in range(params.config.output_dim)]
 
 
 def values_batch(config: MLPConfig, weights: Sequence, biases: Sequence, x) -> np.ndarray:

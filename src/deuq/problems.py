@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
@@ -62,9 +62,13 @@ class ProblemSpec:
     conditions: tuple[Condition, ...]
     transform: Transform
     residual_fn: Callable = field(repr=False)
-    required_directions: tuple[int, ...] = (0,)
+    # highest derivative order the residual reads along each input
+    derivative_orders: tuple[int, ...]
 
     def __post_init__(self):
+        if (len(self.derivative_orders) != len(self.train_domain)
+                or any(o not in (0, 1, 2) for o in self.derivative_orders)):
+            raise ConfigError("derivative_orders needs one order in 0..2 per input")
         for (tl, th), (el, eh) in zip(self.train_domain, self.extrap_domain):
             if el > tl or eh < th:
                 raise ConfigError("extrap_domain must contain train_domain")
@@ -77,19 +81,39 @@ class ProblemSpec:
         return len(self.train_domain)
 
 
+@dataclass(frozen=True)
+class FirstOrder:
+    """An output's value and first derivative along a direction the
+    residual reads to first order only; reading ``d2`` raises."""
+
+    value: Any
+    d1: Any
+
+    @property
+    def d2(self):
+        raise StructuralError(
+            "residual read a second derivative along a direction declared first order"
+        )
+
+
 def residual(problem: ProblemSpec, u: Mapping[int, Sequence[Jet2]], point) -> list:
     """Residual of the enforced solution at one point (or batch of points).
 
     ``u`` maps seeded input direction -> jets of every output, carrying the
-    derivative orders the operator needs. Returns one scalar-like residual
-    per output equation.
+    derivative orders the operator declares in ``derivative_orders``.
+    Along a direction of order 1 the operator sees only value and d1.
+    Returns one scalar-like residual per output equation.
     """
-    for d in problem.required_directions:
+    seen = {}
+    for d, order in enumerate(problem.derivative_orders):
+        if order == 0:
+            continue
         if d not in u:
             raise StructuralError(
                 f"{problem.name} residual needs derivatives along input {d}"
             )
-    return problem.residual_fn(problem.coefficients, u, point)
+        seen[d] = u[d] if order == 2 else [FirstOrder(j.value, j.d1) for j in u[d]]
+    return problem.residual_fn(problem.coefficients, seen, point)
 
 
 def enforce(u_raw: Sequence[Jet2], input_jets: Sequence[Jet2], transform: Transform) -> list[Jet2]:
@@ -172,6 +196,7 @@ def linear_ode(u0: float = 1.0,
         conditions=(Condition("initial_value", (t0,), u0),),
         transform=transform,
         residual_fn=_linear_ode_residual,
+        derivative_orders=(1,),
     )
 
 
@@ -206,6 +231,7 @@ def duffing(omega: float = 1.0, eps_nl: float = 0.1,
         ),
         transform=transform,
         residual_fn=_duffing_residual,
+        derivative_orders=(2,),
     )
 
 
@@ -253,6 +279,7 @@ def lotka_volterra(lv_alpha: float = 1.0, lv_beta: float = 1.0,
         ),
         transform=transform,
         residual_fn=_lv_residual,
+        derivative_orders=(1,),
     )
 
 
@@ -301,7 +328,7 @@ def burgers(visc: float = 0.1,
         ),
         transform=transform,
         residual_fn=_burgers_residual,
-        required_directions=(0, 1),
+        derivative_orders=(2, 1),
     )
 
 

@@ -54,6 +54,7 @@ class Stage1Result:
     loss_history: list  # (epoch, mean squared residual)
     dataset_points: np.ndarray  # (n, input_dim)
     dataset_values: np.ndarray  # (n, n_outputs), enforced solution values
+    settings_digest: str | None = None  # of the settings that produced it
 
 
 def sample_collocation(domain: Sequence[problems.Interval], n: int,
@@ -78,39 +79,37 @@ def sample_collocation(domain: Sequence[problems.Interval], n: int,
     return pts
 
 
-def _seeded_jets(points: np.ndarray, direction: int) -> list[Jet2]:
-    """One jet per coordinate with d1 = 1 along the seeded direction."""
-    jets = []
-    for axis in range(points.shape[1]):
-        col = points[:, axis]
-        one = np.ones_like(col) if axis == direction else np.zeros_like(col)
-        jets.append(Jet2(col, one, np.zeros_like(col)))
-    return jets
+def jet_kernel(problem: problems.ProblemSpec, config: nets.MLPConfig,
+               points: np.ndarray) -> nets.JetKernel:
+    """The network's jet kernel on the collocation points: direction d is
+    input d, carried to the order the residual declares along it."""
+    return nets.JetKernel(config, points, np.eye(problem.input_dim), problem.derivative_orders)
 
 
-def _stack_jets(jets: Sequence[Jet2]) -> Jet2:
-    return Jet2(
-        np.stack([j.value for j in jets], axis=1),
-        np.stack([j.d1 for j in jets], axis=1),
-        np.stack([j.d2 for j in jets], axis=1),
-    )
-
-
-def residual_loss(problem: problems.ProblemSpec, config: nets.MLPConfig,
-                  weights, biases, points: np.ndarray):
+def residual_loss(problem: problems.ProblemSpec, kernel: nets.JetKernel, flat: Var) -> Var:
     """Mean over collocation points of the summed squared residuals of the
-    enforced solution. Works on plain arrays or Var parameters."""
-    loss = None
-    point_cols = tuple(points[:, i] for i in range(points.shape[1]))
+    enforced solution, recorded on the tape of the flat parameter leaf.
+
+    The network is one kernel node; enforcement, the residual and the mean
+    run on jets over the tape, on (n,) columns of the kernel's output.
+    """
+    streams = kernel.apply(flat)
+    points = kernel.points
+    values = [streams[0, :, k] for k in range(problem.n_outputs)]
     u_by_dir = {}
-    for direction in problem.required_directions:
-        in_jets = _seeded_jets(points, direction)
-        out = nets.forward_batch(config, weights, biases, _stack_jets(in_jets))
-        raw = [Jet2(out.value[:, k], out.d1[:, k], out.d2[:, k])
+    for d, order in enumerate(problem.derivative_orders):
+        if order == 0:
+            continue
+        second = order == 2
+        raw = [Jet2(values[k], streams[kernel.stream(d, 1), :, k],
+                    streams[kernel.stream(d, 2), :, k] if second else None)
                for k in range(problem.n_outputs)]
-        u_by_dir[direction] = problems.enforce(raw, in_jets, problem.transform)
-    residuals = problems.residual(problem, u_by_dir, point_cols)
-    for r in residuals:
+        in_jets = [Jet2(points[:, i], 1.0 if i == d else 0.0, 0.0 if second else None)
+                   for i in range(problem.input_dim)]
+        u_by_dir[d] = problems.enforce(raw, in_jets, problem.transform)
+    point_cols = tuple(points[:, i] for i in range(problem.input_dim))
+    loss = None
+    for r in problems.residual(problem, u_by_dir, point_cols):
         term = (r * r).mean()
         loss = term if loss is None else loss + term
     return loss
@@ -132,11 +131,12 @@ def train_deterministic(problem: problems.ProblemSpec, net_config: nets.MLPConfi
     flat = params.flat()
     opt = Adam(flat.size, train_config.learning_rate)
     history: list = []
+    # the kernel's workspace lives for this fit only
+    kernel = jet_kernel(problem, net_config, points)
 
     def loss_and_grad(flat_vec):
         leaf = Var(flat_vec)
-        Ws, bs = nets.split_flat_var(net_config, leaf)
-        loss = residual_loss(problem, net_config, Ws, bs, points)
+        loss = residual_loss(problem, kernel, leaf)
         g = grad_params(loss, [leaf])
         return float(loss.data), g
 
@@ -182,11 +182,13 @@ def emit_dataset(result: Stage1Result, grid_spec: int) -> list:
     return [(tuple(p), v.copy()) for p, v in zip(grid, values)]
 
 
-def save_result(result: Stage1Result, path, problem_overrides: dict | None = None) -> None:
+def save_result(result: Stage1Result, path, problem_overrides: dict | None = None,
+                settings_digest: str | None = None) -> None:
     """JSON handoff file: {net_config, flat_params, loss_history, dataset}.
 
     The problem is recorded by preset name plus the overrides used to build
-    it, which is enough to reconstruct every preset.
+    it, which is enough to reconstruct every preset. ``settings_digest``
+    identifies the settings of the solve, for cache reuse.
     """
     cfg = result.params.config
     payload = {
@@ -207,6 +209,7 @@ def save_result(result: Stage1Result, path, problem_overrides: dict | None = Non
             "name": result.problem.name,
             "overrides": problem_overrides or {},
         },
+        "settings_digest": settings_digest,
     }
     tmp = Path(str(path) + ".tmp")
     tmp.write_text(json.dumps(payload, sort_keys=True))
@@ -231,4 +234,5 @@ def load_result(path) -> Stage1Result:
         loss_history=[(int(e), float(l)) for e, l in payload["loss_history"]],
         dataset_points=np.array(payload["dataset"]["points"], dtype=float),
         dataset_values=np.array(payload["dataset"]["values"], dtype=float),
+        settings_digest=payload.get("settings_digest"),
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from .. import nets
 from ..autodiff import Var, grad_params
-from ..errors import ConfigError, StructuralError
+from ..errors import ConfigError, DivergenceError, StructuralError
 from ..optim import Adam
 from .common import OptConfig, dataset_arrays, enforced_head_values
 
@@ -85,19 +85,34 @@ def nlm_predict(post: NLMPosterior, point) -> tuple[float, float]:
 
 def train_feature_net(dataset, net_config: nets.MLPConfig, opt_config: OptConfig,
                       problem=None, init_params=None) -> nets.MLPParams:
-    """Fit the extractor by mean squared error through the enforced head."""
+    """Fit the extractor by mean squared error through the enforced head.
+
+    The returned params carry the per-step ``loss_history``. A non-finite
+    objective raises DivergenceError with the last finite params and the
+    history up to it.
+    """
     X, Y = dataset_arrays(dataset)
     A, B = enforced_head_values(problem, X, net_config.output_dim)
     flat = np.array(init_params, dtype=float) if init_params is not None else nets.init(net_config).flat()
     opt = Adam(flat.size, opt_config.learning_rate)
-    for _ in range(opt_config.epochs):
+    history: list = []
+    for step in range(opt_config.epochs):
         leaf = Var(flat)
         Ws, bs = nets.split_flat_var(net_config, leaf)
         out = nets.values_batch(net_config, Ws, bs, X)
         loss = ((A + B * out - Y) ** 2).mean()
+        value = float(loss.data)
+        if not np.isfinite(value):
+            raise DivergenceError(
+                f"feature-network objective became non-finite at step {step}",
+                nets.MLPParams.from_flat(net_config, flat), history,
+            )
         grad = grad_params(loss, [leaf])
         flat = opt.step(flat, grad)
-    return nets.MLPParams.from_flat(net_config, flat)
+        history.append(value)
+    params = nets.MLPParams.from_flat(net_config, flat)
+    params.loss_history = history
+    return params
 
 
 def nlm_fit_dataset(dataset, net_config: nets.MLPConfig, eps: float, prior_std: float,

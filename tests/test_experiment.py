@@ -66,6 +66,36 @@ def test_run_reuses_cached_stage1(tmp_path):
     assert paths.stage1_json.stat().st_mtime_ns == stamp
 
 
+TINY_LV = dict(preset="lotka_volterra", method="nlm", seed=5, epochs_stage1=3,
+               epochs_stage2=2, n_collocation=8, dataset_grid=9, eval_grid=9)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("lv_standard_form", True),
+    ("n_collocation", 10),
+    ("sampler", "uniform_random"),
+    ("lr_stage1", 5e-3),
+    ("tolerance", 1e-3),
+    ("epochs_stage1", 5),  # more epochs than the cached solve ran
+])
+def test_stage1_cache_needs_exact_settings(tmp_path, monkeypatch, field, value):
+    solves = []
+    real = experiment.run_stage1
+
+    def counting(config, problem=None):
+        solves.append(config)
+        return real(config, problem)
+
+    monkeypatch.setattr(experiment, "run_stage1", counting)
+    experiment.run(_cfg(tmp_path, **TINY_LV))
+    experiment.run(_cfg(tmp_path, **{**TINY_LV, "method": "der"}))
+    assert len(solves) == 1  # same stage-1 settings, other method: reused
+    paths = experiment.run(_cfg(tmp_path, **{**TINY_LV, field: value}))
+    assert len(solves) == 2
+    cached = experiment.stage1.load_result(paths.stage1_json)
+    assert cached.settings_digest == experiment.stage1_digest(solves[-1])
+
+
 def test_config_echo_reports_every_effective_parameter(tmp_path):
     cfg = _cfg(tmp_path, preset="linear_ode", method="nlm", seed=4)
     paths = experiment.run(cfg)
