@@ -3,10 +3,13 @@
 
 This reproduces the headline qualitative result: tight predictive bands on
 the training domain that widen outside it, with conditions carrying zero
-uncertainty. Band CSVs land in the output directory for plotting.
+uncertainty. Band CSVs land in the output directory for plotting. The
+summary records the sha256 of each band CSV and report JSON, so two
+summaries at one seed show whether a change kept every band byte for byte.
 """
 
 import argparse
+import hashlib
 import json
 from pathlib import Path
 
@@ -30,7 +33,9 @@ def main() -> None:
             )
             paths = experiment.run(config)
             report = json.loads(Path(paths.report_json).read_text())
-            rows.append((preset, method, report))
+            digests = {f"{kind}_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                       for kind, path in (("band", paths.band_csv), ("report", paths.report_json))}
+            rows.append((preset, method, {**report, **digests}))
             print(
                 f"{preset:15s} {method:8s} "
                 f"coverage={report['coverage_k2']:.3f} "

@@ -415,29 +415,6 @@ def lgamma(x):
     return gammaln(x)
 
 
-_JET_OPS: dict[str, Callable] = {
-    "add": lambda a, b: a + b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-    "neg": lambda a: -a,
-    "exp": exp,
-    "tanh": tanh,
-    "sin": sin,
-    "pow_int": lambda a, n: a**n,
-}
-
-
-def jet_apply(op: str, *operands) -> Jet2:
-    """Apply one elementary operation to jets by tag.
-
-    Supported tags: add, mul, div, neg, exp, tanh, sin, pow_int. Binary tags
-    take two jet operands, pow_int takes (jet, int exponent).
-    """
-    if op not in _JET_OPS:
-        raise ConfigError(f"unknown elementary operation {op!r}")
-    return _JET_OPS[op](*operands)
-
-
 # ---------------------------------------------------------------------
 # Gradients of recorded objectives
 # ---------------------------------------------------------------------

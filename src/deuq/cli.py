@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Subcommands: ``solve`` (stage 1 only), ``uq`` (stage 2 on a cached stage-1
-file), ``run`` (full pipeline), ``report`` (metrics from a saved band CSV).
+Subcommands: ``solve`` (stage 1 only), ``uq`` (everything after stage 1,
+on a saved stage-1 file), ``run`` (full pipeline), ``report`` (metrics from
+a saved band CSV).
 Settings may come from a JSON config file; command-line flags override file
 values, which override built-in defaults. Exit codes: 0 success,
 1 numerical failure, 2 configuration error.
@@ -15,7 +16,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import experiment, problems, stage1
+from . import experiment, stage1
 from .errors import ConfigError, DeuqError, StructuralError
 
 
@@ -72,23 +73,22 @@ def _build_config(args: argparse.Namespace) -> experiment.ExperimentConfig:
     return experiment.ExperimentConfig(**settings)
 
 
-def _cmd_run(args) -> int:
-    paths = experiment.run(_build_config(args))
+def _print_artifacts(paths: experiment.RunArtifacts) -> None:
     print(f"band:   {paths.band_csv}")
     print(f"stage1: {paths.stage1_json}")
     print(f"report: {paths.report_json}")
     print(f"config: {paths.config_json}")
+
+
+def _cmd_run(args) -> int:
+    _print_artifacts(experiment.run(_build_config(args)))
     return 0
 
 
 def _cmd_solve(args) -> int:
     config = _build_config(args)
     result = experiment.run_stage1(config)
-    out_dir = experiment.output_root(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"stage1_{config.preset}_seed{config.seed}.json"
-    stage1.save_result(result, path, experiment._problem_overrides(config),
-                       experiment.stage1_digest(config))
+    path = experiment.save_stage1(config, result)
     print(f"stage1: {path} (final mean squared residual "
           f"{result.loss_history[-1][1]:.3e})")
     return 0
@@ -102,13 +102,7 @@ def _cmd_uq(args) -> int:
             f"stage-1 file is for preset {result.problem.name!r}, "
             f"config says {config.preset!r}"
         )
-    band = experiment.run_method(config, result)
-    reference = problems.reference_solution(result.problem, band.grid)
-    out_dir = experiment.output_root(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / f"band_{config.preset}_{config.method}_seed{config.seed}.csv"
-    experiment.emit_band_csv(band, reference, result.problem.train_domain, path)
-    print(f"band: {path}")
+    _print_artifacts(experiment.run_uq(config, result, args.stage1))
     return 0
 
 
@@ -139,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p_solve)
     p_solve.set_defaults(func=_cmd_solve)
 
-    p_uq = sub.add_parser("uq", help="stage 2 on a saved stage-1 file")
+    p_uq = sub.add_parser("uq", help="stage 2, band and report on a saved stage-1 file")
     p_uq.add_argument("--stage1", type=Path, required=True, help="stage-1 JSON file")
     _add_run_options(p_uq)
     p_uq.set_defaults(func=_cmd_uq)

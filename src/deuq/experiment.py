@@ -276,26 +276,44 @@ def _atomic_write(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
+def stage1_path(config: ExperimentConfig) -> Path:
+    """Where `run` and `deuq solve` keep the stage-1 solve of `config`."""
+    return output_root(config) / f"stage1_{config.preset}_seed{config.seed}.json"
+
+
+def save_stage1(config: ExperimentConfig, result: stage1.Stage1Result) -> Path:
+    """Write the stage-1 file of `config`, with the overrides that rebuild
+    its problem and the settings digest that lets `run` reuse it."""
+    path = stage1_path(config)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    stage1.save_result(result, path, _problem_overrides(config),
+                       stage1_digest(config, result.problem))
+    return path
+
+
 def run(config: ExperimentConfig) -> RunArtifacts:
     """Full pipeline; reuses a cached stage-1 file when its settings digest
     equals this config's. Artifacts: band CSV, stage-1 JSON, report JSON, config echo."""
-    resolved = config.resolved()
     problem = build_problem(config)
-    out_dir = output_root(config)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    tag = f"{config.preset}_seed{config.seed}"
-    stage1_path = out_dir / f"stage1_{tag}.json"
-
-    digest = stage1_digest(config, problem)
+    path = stage1_path(config)
     result = None
-    if config.reuse_stage1 and stage1_path.exists():
-        cached = stage1.load_result(stage1_path)
-        if cached.settings_digest == digest:
+    if config.reuse_stage1 and path.exists():
+        cached = stage1.load_result(path)
+        if cached.settings_digest == stage1_digest(config, problem):
             result = cached
     if result is None:
         result = run_stage1(config, problem)
-        stage1.save_result(result, stage1_path, _problem_overrides(config), digest)
+        save_stage1(config, result)
+    return run_uq(config, result, path)
 
+
+def run_uq(config: ExperimentConfig, result: stage1.Stage1Result,
+           stage1_json: Path) -> RunArtifacts:
+    """Everything after stage 1: fit the method on `result` (read from
+    `stage1_json`), then write the band CSV, the report and the config echo."""
+    problem = result.problem
+    out_dir = output_root(config)
+    out_dir.mkdir(parents=True, exist_ok=True)
     band = run_method(config, result)
     reference = problems.reference_solution(problem, band.grid)
     report = metrics.band_report(
@@ -305,7 +323,7 @@ def run(config: ExperimentConfig) -> RunArtifacts:
     run_tag = f"{config.preset}_{config.method}_seed{config.seed}"
     paths = RunArtifacts(
         band_csv=out_dir / f"band_{run_tag}.csv",
-        stage1_json=stage1_path,
+        stage1_json=Path(stage1_json),
         report_json=out_dir / f"report_{run_tag}.json",
         config_json=out_dir / f"config_{run_tag}.json",
     )
@@ -324,7 +342,7 @@ def run(config: ExperimentConfig) -> RunArtifacts:
             indent=2,
         ),
     )
-    _atomic_write(paths.config_json, json.dumps(resolved, sort_keys=True, indent=2))
+    _atomic_write(paths.config_json, json.dumps(config.resolved(), sort_keys=True, indent=2))
     return paths
 
 
@@ -389,20 +407,8 @@ def read_band_csv(path) -> tuple[PredictiveBand, np.ndarray, np.ndarray]:
 
 
 def report_from_csv(path, coverage_k: float = 2.0) -> dict:
-    """Recompute the headline metrics from a saved band CSV alone."""
+    """Recompute the headline metrics from a saved band CSV alone: its
+    in_train_domain column splits the grid, which spans the extrapolation
+    domain."""
     band, reference, inside = read_band_csv(path)
-    outside = ~inside
-    if not inside.any() or not outside.any():
-        raise ConfigError("band CSV lacks points on one side of the train domain")
-    hit = np.abs(band.mean[inside] - reference[inside]) <= coverage_k * band.std[inside]
-    std_in = float(band.std[inside].mean())
-    std_out = float(band.std[outside].mean())
-    return {
-        "coverage_k2": float(hit.mean()),
-        "mean_std_train": std_in,
-        "mean_std_extrap": std_out,
-        "inflation_ratio": float("inf") if std_in == 0.0 else std_out / std_in,
-        "rmse_train": float(
-            np.sqrt(np.mean((band.mean[inside] - reference[inside]) ** 2))
-        ),
-    }
+    return dataclasses.asdict(metrics.masked_report(band, reference, inside, ~inside, coverage_k))

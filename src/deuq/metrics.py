@@ -54,16 +54,7 @@ def in_train_mask(grid: np.ndarray, train_domain: Sequence[Interval]) -> np.ndar
 def inflation_ratio(band: PredictiveBand, train_domain: Sequence[Interval],
                     extrap_domain: Sequence[Interval]) -> float:
     """Mean std strictly outside the training domain over mean std inside."""
-    inside = in_train_mask(band.grid, train_domain)
-    in_extrap = in_train_mask(band.grid, extrap_domain)
-    outside = in_extrap & ~inside
-    if not inside.any() or not outside.any():
-        raise StructuralError("need grid points both inside and outside train_domain")
-    std_in = float(band.std[inside].mean())
-    std_out = float(band.std[outside].mean())
-    if std_in == 0.0:
-        return math.inf
-    return std_out / std_in
+    return _std_split(band.std, *_split(band.grid, train_domain, extrap_domain))[2]
 
 
 def rmse(values: np.ndarray, reference: np.ndarray) -> float:
@@ -81,21 +72,43 @@ def band_report(band: PredictiveBand, reference: np.ndarray,
                 train_domain: Sequence[Interval],
                 extrap_domain: Sequence[Interval], k: float = 2.0) -> BandReport:
     """Assemble the headline metrics for one enforced band."""
+    return masked_report(band, reference, *_split(band.grid, train_domain, extrap_domain), k)
+
+
+def masked_report(band: PredictiveBand, reference: np.ndarray, inside: np.ndarray,
+                  outside: np.ndarray, k: float = 2.0) -> BandReport:
+    """The headline metrics with the grid split given as masks: coverage
+    and RMSE over ``inside``, the inflation ratio of ``outside`` to it."""
     reference = _aligned_reference(band, reference)
-    inside = in_train_mask(band.grid, train_domain)
-    in_extrap = in_train_mask(band.grid, extrap_domain)
-    outside = in_extrap & ~inside
-    if not inside.any() or not outside.any():
-        raise StructuralError("need grid points both inside and outside train_domain")
+    std_in, std_out, ratio = _std_split(band.std, inside, outside)
     train_band = PredictiveBand(band.grid[inside], band.mean[inside],
                                 band.std[inside], band.enforced)
     return BandReport(
         coverage_k2=coverage(train_band, reference[inside], k),
-        mean_std_train=float(band.std[inside].mean()),
-        mean_std_extrap=float(band.std[outside].mean()),
-        inflation_ratio=inflation_ratio(band, train_domain, extrap_domain),
+        mean_std_train=std_in,
+        mean_std_extrap=std_out,
+        inflation_ratio=ratio,
         rmse_train=rmse(band.mean[inside], reference[inside]),
     )
+
+
+def _split(grid: np.ndarray, train_domain: Sequence[Interval],
+           extrap_domain: Sequence[Interval]) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the grid points inside the training domain and of those in
+    the extrapolation domain strictly outside it."""
+    inside = in_train_mask(grid, train_domain)
+    return inside, in_train_mask(grid, extrap_domain) & ~inside
+
+
+def _std_split(std: np.ndarray, inside: np.ndarray,
+               outside: np.ndarray) -> tuple[float, float, float]:
+    """Mean std inside, mean std outside, and their ratio (infinite when
+    the inside band is exactly flat)."""
+    if not inside.any() or not outside.any():
+        raise StructuralError("need grid points both inside and outside train_domain")
+    std_in = float(std[inside].mean())
+    std_out = float(std[outside].mean())
+    return std_in, std_out, math.inf if std_in == 0.0 else std_out / std_in
 
 
 def _aligned_reference(band: PredictiveBand, reference: np.ndarray) -> np.ndarray:

@@ -14,9 +14,7 @@ the reverse-mode tape.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -399,29 +397,3 @@ def evaluate(params: MLPParams, points: np.ndarray) -> np.ndarray:
         raise StructuralError("point dimension does not match input_dim")
     return values_batch(params.config, params.weights, params.biases, points)
 
-
-def save(params: MLPParams, path) -> None:
-    """Write {config, flat_params} JSON for the stage-1 -> stage-2 handoff."""
-    payload = {
-        "config": {
-            "input_dim": params.config.input_dim,
-            "output_dim": params.config.output_dim,
-            "hidden_sizes": list(params.config.hidden_sizes),
-            "activation": params.config.activation,
-            "seed": params.config.seed,
-        },
-        "flat_params": params.flat().tolist(),
-    }
-    Path(path).write_text(json.dumps(payload, sort_keys=True))
-
-
-def load(path) -> MLPParams:
-    payload = json.loads(Path(path).read_text())
-    config = MLPConfig(
-        input_dim=payload["config"]["input_dim"],
-        output_dim=payload["config"]["output_dim"],
-        hidden_sizes=tuple(payload["config"]["hidden_sizes"]),
-        activation=payload["config"]["activation"],
-        seed=payload["config"]["seed"],
-    )
-    return MLPParams.from_flat(config, np.array(payload["flat_params"]))

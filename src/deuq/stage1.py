@@ -17,8 +17,8 @@ import numpy as np
 
 from . import nets, problems
 from .autodiff import Jet2, Var, grad_params
-from .errors import ConfigError, DivergenceError
-from .optim import Adam
+from .errors import ConfigError
+from .optim import fit
 
 _SAMPLERS = ("equispaced", "uniform_random", "equispaced_jitter")
 
@@ -127,37 +127,20 @@ def train_deterministic(problem: problems.ProblemSpec, net_config: nets.MLPConfi
         problem.train_domain, train_config.n_collocation,
         train_config.sampler, train_config.seed,
     )
-    params = nets.init(net_config)
-    flat = params.flat()
-    opt = Adam(flat.size, train_config.learning_rate)
-    history: list = []
     # the kernel's workspace lives for this fit only
     kernel = jet_kernel(problem, net_config, points)
 
     def loss_and_grad(flat_vec):
         leaf = Var(flat_vec)
         loss = residual_loss(problem, kernel, leaf)
-        g = grad_params(loss, [leaf])
-        return float(loss.data), g
+        return float(loss.data), lambda: grad_params(loss, [leaf])
 
-    loss, grad = loss_and_grad(flat)
-    if not np.isfinite(loss):
-        raise DivergenceError("initial residual loss is non-finite", params, history)
-    history.append((0, loss))
-    for epoch in range(1, train_config.epochs + 1):
-        new_flat = opt.step(flat, grad)
-        loss, grad = loss_and_grad(new_flat)
-        if not np.isfinite(loss):
-            raise DivergenceError(
-                f"training diverged at epoch {epoch}",
-                nets.MLPParams.from_flat(net_config, flat),
-                history,
-            )
-        flat = new_flat
-        history.append((epoch, loss))
-        if loss <= train_config.tolerance:
-            break
-
+    flat, history = fit(
+        loss_and_grad, nets.init(net_config).flat(), train_config.learning_rate,
+        train_config.epochs, tolerance=train_config.tolerance,
+        name="stage-1 residual loss",
+        params=lambda x: nets.MLPParams.from_flat(net_config, x),
+    )
     final = nets.MLPParams.from_flat(net_config, flat)
     grid_n = train_config.dataset_grid or (128 if problem.input_dim == 1 else 48)
     grid = problems.grid_points(problem.train_domain, grid_n)
@@ -172,14 +155,6 @@ def evaluate_enforced(problem: problems.ProblemSpec, params: nets.MLPParams,
     raw = nets.evaluate(params, points)
     A, B = problems.transform_values(problem.transform, points, problem.n_outputs)
     return A + B * raw
-
-
-def emit_dataset(result: Stage1Result, grid_spec: int) -> list:
-    """Re-evaluate the enforced solution on a grid of the requested density;
-    returns [(point tuple, value vector), ...] in grid order."""
-    grid = problems.grid_points(result.problem.train_domain, grid_spec)
-    values = evaluate_enforced(result.problem, result.params, grid)
-    return [(tuple(p), v.copy()) for p, v in zip(grid, values)]
 
 
 def save_result(result: Stage1Result, path, problem_overrides: dict | None = None,

@@ -24,7 +24,6 @@ from .predictive import (
 )
 from .variational import (
     VariationalParams,
-    bbb_sample_weights,
     bbb_train,
     flipout_perturb,
     flipout_train,
@@ -41,7 +40,6 @@ __all__ = [
     "OptConfig",
     "PredictiveBand",
     "VariationalParams",
-    "bbb_sample_weights",
     "bbb_train",
     "dataset_arrays",
     "der_band",

@@ -27,8 +27,8 @@ import numpy as np
 
 from .. import nets
 from ..autodiff import Var, absolute, grad_params, lgamma, log, softplus
-from ..errors import ConfigError, DivergenceError, DomainError
-from ..optim import Adam
+from ..errors import ConfigError, DomainError
+from ..optim import fit
 from .common import LikelihoodSpec, OptConfig, dataset_arrays, enforced_head_values
 
 
@@ -119,10 +119,9 @@ def der_train(dataset, net_config: nets.MLPConfig, lam: float,
     keep = [np.flatnonzero(B[:, k] != 0.0) for k in range(n_outputs)]
     if any(idx.size == 0 for idx in keep):
         raise ConfigError("every dataset point sits on a condition surface")
-    flat = np.array(init_params, dtype=float) if init_params is not None else nets.init(net_config).flat()
-    opt = Adam(flat.size, opt_config.learning_rate)
-    history: list = []
-    for step in range(opt_config.epochs):
+    x0 = np.array(init_params, dtype=float) if init_params is not None else nets.init(net_config).flat()
+
+    def loss_and_grad(flat):
         leaf = Var(flat)
         Ws, bs = nets.split_flat_var(net_config, leaf)
         raw = nets.values_batch(net_config, Ws, bs, X)
@@ -137,15 +136,13 @@ def der_train(dataset, net_config: nets.MLPConfig, lam: float,
             )
             term = der_loss(head, Y[idx, k], lam).mean()
             loss = term if loss is None else loss + term
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"evidential objective became non-finite at step {step}",
-                nets.MLPParams.from_flat(net_config, flat), history,
-            )
-        grad = grad_params(loss, [leaf])
-        flat = opt.step(flat, grad)
-        history.append(value)
+        return float(loss.data), lambda: grad_params(loss, [leaf])
+
+    flat, history = fit(
+        loss_and_grad, x0, opt_config.learning_rate, opt_config.epochs,
+        name="evidential objective",
+        params=lambda x: nets.MLPParams.from_flat(net_config, x),
+    )
     params = nets.MLPParams.from_flat(net_config, flat)
     params.loss_history = history
     return params

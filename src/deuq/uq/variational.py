@@ -20,8 +20,8 @@ import numpy as np
 
 from .. import nets
 from ..autodiff import Var, grad_params, log, softplus
-from ..errors import ConfigError, DivergenceError, StructuralError
-from ..optim import Adam
+from ..errors import ConfigError, StructuralError
+from ..optim import fit
 from .common import GaussianPrior, LikelihoodSpec, OptConfig, dataset_arrays, enforced_head_values
 
 RHO_INIT = -5.0  # softplus(-5) ~ 6.7e-3: weights start nearly deterministic
@@ -70,16 +70,6 @@ def kl_gaussian_diag(q: VariationalParams, prior: GaussianPrior) -> float:
     else:
         s = prior.per_param(q.config)
     return float(np.sum(np.log(s / sigma) + (sigma**2 + q.mu**2) / (2.0 * s**2) - 0.5))
-
-
-def bbb_sample_weights(q: VariationalParams, noise: np.ndarray) -> nets.MLPParams:
-    """One posterior draw w = mu + sigma o noise, shaped into layers."""
-    noise = np.asarray(noise, dtype=float)
-    if noise.shape != q.mu.shape:
-        raise StructuralError("noise length must equal the parameter count")
-    if q.config is None:
-        raise StructuralError("sampling into layers requires a network config")
-    return nets.MLPParams.from_flat(q.config, q.mu + q.sigma * noise)
 
 
 def sign_dims(config: nets.MLPConfig) -> tuple[int, int]:
@@ -159,14 +149,13 @@ def _variational_train(dataset, net_config, like, prior, opt_config, *,
     mu = np.array(init_mu, dtype=float) if init_mu is not None else nets.init(net_config).flat()
     if mu.size != P:
         raise ConfigError("init_mu length does not match the parameter count")
-    rho = np.full(P, RHO_INIT)
     ss = np.random.SeedSequence(opt_config.seed)
     noise_rng, sign_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
-    opt = Adam(2 * P, opt_config.learning_rate)
-    history: list = []
     const_nll = 0.5 * n_points * net_config.output_dim * np.log(2.0 * np.pi * like.eps**2)
 
-    for step in range(opt_config.epochs):
+    def loss_and_grad(packed):
+        # one fresh draw per evaluation; fit's evaluation after its last
+        # step draws once more, and that draw moves no weight
         eps_hat = noise_rng.standard_normal(P)
         if decorrelate and not unit_signs:
             R = sign_rng.integers(0, 2, size=(n_points, r_total)) * 2.0 - 1.0
@@ -175,7 +164,7 @@ def _variational_train(dataset, net_config, like, prior, opt_config, *,
             R = np.ones((n_points, r_total))
             S = np.ones((n_points, s_total))
 
-        mu_v, rho_v = Var(mu), Var(rho)
+        mu_v, rho_v = Var(packed[:P]), Var(packed[P:])
         sigma_v = softplus(rho_v)
         delta = sigma_v * eps_hat
         mu_Ws, mu_bs = nets.split_flat_var(net_config, mu_v)
@@ -187,19 +176,14 @@ def _variational_train(dataset, net_config, like, prior, opt_config, *,
         nll = ((pred - Y) ** 2).sum() / (2.0 * like.eps**2) + const_nll
         kl = (log(prior_vec / sigma_v) + (sigma_v**2 + mu_v**2) / (2.0 * prior_vec**2) - 0.5).sum()
         loss = kl + nll
-        value = float(loss.data)
-        if not np.isfinite(value):
-            raise DivergenceError(
-                f"variational objective became non-finite at step {step}",
-                VariationalParams(net_config, mu, rho, history),
-                history,
-            )
-        grad = grad_params(loss, [mu_v, rho_v])
-        packed = opt.step(np.concatenate([mu, rho]), grad)
-        mu, rho = packed[:P], packed[P:]
-        history.append(value)
+        return float(loss.data), lambda: grad_params(loss, [mu_v, rho_v])
 
-    return VariationalParams(net_config, mu, rho, history)
+    packed, history = fit(
+        loss_and_grad, np.concatenate([mu, np.full(P, RHO_INIT)]),
+        opt_config.learning_rate, opt_config.epochs, name="variational objective",
+        params=lambda x: VariationalParams(net_config, x[:P], x[P:]),
+    )
+    return VariationalParams(net_config, packed[:P], packed[P:], history)
 
 
 def bbb_train(dataset, net_config: nets.MLPConfig, like: LikelihoodSpec,

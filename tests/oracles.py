@@ -4,6 +4,9 @@ The stage-1 network once ran as generic jet arithmetic over the reverse-mode
 tape: every layer a Jet2 of Var nodes, every direction a full second-order
 pass. That path is slow but obviously right, so it is kept here as the
 oracle for the fused jet kernel in `deuq.nets.JetKernel`.
+
+Two small samplers sit here too, because only tests call them: the
+stage-1 dataset on a chosen grid, and one shared-noise posterior draw.
 """
 
 from __future__ import annotations
@@ -12,8 +15,10 @@ from typing import Sequence
 
 import numpy as np
 
-from deuq import nets, problems
+from deuq import nets, problems, stage1
 from deuq.autodiff import Jet2
+from deuq.errors import StructuralError
+from deuq.uq.variational import VariationalParams
 
 
 def _affine_jet(h: Jet2, W, b) -> Jet2:
@@ -63,3 +68,21 @@ def tape_residual_loss(problem: problems.ProblemSpec, config: nets.MLPConfig,
         term = (r * r).mean()
         loss = term if loss is None else loss + term
     return loss
+
+
+def emit_dataset(result: stage1.Stage1Result, grid_spec: int) -> list:
+    """Re-evaluate the enforced solution on a grid of the requested density;
+    returns [(point tuple, value vector), ...] in grid order."""
+    grid = problems.grid_points(result.problem.train_domain, grid_spec)
+    values = stage1.evaluate_enforced(result.problem, result.params, grid)
+    return [(tuple(p), v.copy()) for p, v in zip(grid, values)]
+
+
+def bbb_sample_weights(q: VariationalParams, noise: np.ndarray) -> nets.MLPParams:
+    """One posterior draw w = mu + sigma o noise, shaped into layers."""
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != q.mu.shape:
+        raise StructuralError("noise length must equal the parameter count")
+    if q.config is None:
+        raise StructuralError("sampling into layers requires a network config")
+    return nets.MLPParams.from_flat(q.config, q.mu + q.sigma * noise)

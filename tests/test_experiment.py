@@ -155,6 +155,20 @@ def test_band_csv_roundtrip_and_report(tmp_path):
     assert report["inflation_ratio"] > 0.0
 
 
+def test_report_from_csv_matches_the_run_report(tmp_path):
+    paths = experiment.run(_cfg(tmp_path, preset="duffing", method="bbb", seed=8))
+    saved = json.loads(paths.report_json.read_text())
+    band, reference, _ = experiment.read_band_csv(paths.band_csv)
+    recomputed = experiment.report_from_csv(paths.band_csv)
+    assert recomputed.keys() == saved.keys() - {"preset", "method", "seed", "final_stage1_loss"}
+    assert recomputed["coverage_k2"] == saved["coverage_k2"]
+    # the CSV keeps 9 significant digits of every mean, std and reference
+    for key in ("mean_std_train", "mean_std_extrap", "inflation_ratio"):
+        assert recomputed[key] == pytest.approx(saved[key], rel=2e-8)
+    scale = max(np.abs(band.mean).max(), np.abs(reference).max())
+    assert recomputed["rmse_train"] == pytest.approx(saved["rmse_train"], abs=1e-8 * scale)
+
+
 def test_emitted_csv_is_identical_on_reemission(tmp_path):
     grid = np.linspace(0.0, 3.0, 5).reshape(-1, 1)
     band = PredictiveBand(grid, np.ones((5, 1)), np.ones((5, 1)), enforced=True)
@@ -195,6 +209,23 @@ def test_cli_solve_then_uq(tmp_path, capsys):
                  "--method", "nlm", "--epochs-stage2", "200",
                  "--eval-grid", "31"]) == 0
     assert (tmp_path / "band_linear_ode_nlm_seed6.csv").exists()
+
+
+def test_cli_solve_then_uq_writes_the_files_of_run(tmp_path):
+    common = ["--preset", "linear_ode", "--seed", "6", "--epochs-stage1", "300",
+              "--n-collocation", "16", "--dataset-grid", "33"]
+    stage2 = ["--method", "der", "--epochs-stage2", "200", "--eval-grid", "31"]
+    whole, split = tmp_path / "run", tmp_path / "split"
+    assert main(["run", *common, *stage2, "--out", str(whole)]) == 0
+    assert main(["solve", *common, "--out", str(split)]) == 0
+    assert main(["uq", "--stage1", str(split / "stage1_linear_ode_seed6.json"),
+                 *common, *stage2, "--out", str(split)]) == 0
+    for name in ("stage1_linear_ode_seed6.json", "band_linear_ode_der_seed6.csv",
+                 "report_linear_ode_der_seed6.json"):
+        assert (split / name).read_bytes() == (whole / name).read_bytes()
+    echo = {d: json.loads((d / "config_linear_ode_der_seed6.json").read_text())
+            for d in (whole, split)}
+    assert {**echo[split], "output_dir": None} == {**echo[whole], "output_dir": None}
 
 
 def test_cli_config_file_with_flag_override(tmp_path):

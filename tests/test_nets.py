@@ -131,11 +131,3 @@ def test_from_flat_rejects_wrong_length():
     with pytest.raises(StructuralError):
         nets.MLPParams.from_flat(cfg, np.zeros(cfg.n_params + 1))
 
-
-def test_save_load_roundtrip(tmp_path):
-    params = _random_net(3, (5, 4))
-    path = tmp_path / "net.json"
-    nets.save(params, path)
-    loaded = nets.load(path)
-    assert loaded.config == params.config
-    np.testing.assert_array_equal(loaded.flat(), params.flat())

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deuq import nets
-from deuq.errors import ConfigError, DivergenceError, StructuralError
+from deuq.errors import ConfigError, StructuralError
 from deuq.uq import OptConfig, nlm_fit, nlm_fit_dataset, nlm_predict
 from deuq.uq.nlm import feature_map, train_feature_net
 
@@ -118,24 +118,9 @@ def test_feature_training_and_dataset_fit():
     assert np.max(np.abs(preds - Y[:, 0])) < 5e-2
 
 
-def test_feature_net_divergence_carries_last_finite_state():
-    # a huge step throws the weights to ~1e200, so the squared error overflows
-    x = np.linspace(0.0, 1.0, 16).reshape(-1, 1)
-    cfg = nets.MLPConfig(1, 1, (8,), seed=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(DivergenceError) as err:
-            train_feature_net((x, np.sin(x)), cfg,
-                              OptConfig(epochs=50, learning_rate=1e200))
-    last = err.value.last_params
-    assert isinstance(last, nets.MLPParams)
-    assert np.all(np.isfinite(last.flat()))
-    assert err.value.loss_history
-    assert all(np.isfinite(l) for l in err.value.loss_history)
-
-
 def test_feature_net_keeps_loss_history():
     x = np.linspace(0.0, 1.0, 16).reshape(-1, 1)
     params = train_feature_net((x, np.sin(x)), nets.MLPConfig(1, 1, (8,), seed=0),
                                OptConfig(epochs=30, learning_rate=1e-2))
-    assert len(params.loss_history) == 30
-    assert params.loss_history[-1] < params.loss_history[0]
+    assert len(params.loss_history) == 31
+    assert params.loss_history[-1][1] < params.loss_history[0][1]

@@ -1,0 +1,84 @@
+import numpy as np
+import pytest
+
+from deuq import nets
+from deuq.errors import DivergenceError
+from deuq.optim import fit
+from deuq.uq import GaussianPrior, LikelihoodSpec, OptConfig, bbb_train, der_train, flipout_train
+from deuq.uq.nlm import train_feature_net
+from deuq.uq.variational import VariationalParams
+
+
+def _shifted_square(offset):
+    def loss_and_grad(x):
+        return float(x @ x) - offset, lambda: 2.0 * x
+    return loss_and_grad
+
+
+def test_history_is_step_loss_pairs_ending_at_the_returned_vector():
+    f = _shifted_square(0.0)
+    x, history = fit(f, np.array([1.0, -2.0]), 0.1, 25)
+    assert [k for k, _ in history] == list(range(26))
+    assert history[0][1] == 5.0
+    assert history[-1][1] == f(x)[0]
+
+
+def test_no_tolerance_runs_every_epoch_through_negative_losses():
+    # stage-2 objectives can be negative, so no tolerance means none at all
+    _, history = fit(_shifted_square(10.0), np.array([1.0, -2.0]), 0.1, 40)
+    assert len(history) == 41
+    assert history[-1][1] < 0.0
+
+
+def test_tolerance_stops_at_the_first_loss_below_it():
+    _, history = fit(_shifted_square(0.0), np.array([1.0, -2.0]), 0.1, 500, tolerance=0.5)
+    assert history[-1][1] <= 0.5 < history[-2][1]
+    assert len(history) < 501
+
+
+def test_non_finite_initial_loss_carries_the_start():
+    x0 = np.array([1.0])
+    with pytest.raises(DivergenceError) as err:
+        fit(lambda x: (float("nan"), lambda: x), x0, 0.1, 5, name="toy loss",
+            params=lambda x: ("wrapped", x))
+    assert "initial toy loss" in str(err.value)
+    assert err.value.last_params[0] == "wrapped"
+    np.testing.assert_array_equal(err.value.last_params[1], x0)
+    assert err.value.loss_history == []
+
+
+X = np.linspace(0.0, 1.0, 16).reshape(-1, 1)
+DATA = (X, np.sin(X))
+CFG = nets.MLPConfig(1, 1, (8,), seed=0)
+
+# trainer, type of the params it returns, name its divergence error carries
+TRAINERS = {
+    "nlm": (lambda opt: train_feature_net(DATA, CFG, opt),
+            nets.MLPParams, "feature-network objective"),
+    "der": (lambda opt: der_train(DATA, nets.MLPConfig(1, 4, (8,), seed=0), 0.1, opt),
+            nets.MLPParams, "evidential objective"),
+    "bbb": (lambda opt: bbb_train(DATA, CFG, LikelihoodSpec(), GaussianPrior(), opt),
+            VariationalParams, "variational objective"),
+    "flipout": (lambda opt: flipout_train(DATA, CFG, LikelihoodSpec(), GaussianPrior(), opt),
+                VariationalParams, "variational objective"),
+}
+
+
+@pytest.mark.parametrize("epochs", [1, 50])
+@pytest.mark.parametrize("method", list(TRAINERS))
+def test_trainer_divergence_carries_last_finite_state(method, epochs):
+    # a huge step throws the weights to ~1e200, so the objective overflows,
+    # also when that step is the last one
+    train, kind, name = TRAINERS[method]
+    with np.errstate(all="ignore"):
+        with pytest.raises(DivergenceError) as err:
+            train(OptConfig(epochs=epochs, learning_rate=1e200))
+    assert name in str(err.value)
+    last = err.value.last_params
+    assert isinstance(last, kind)
+    flat = last.flat() if kind is nets.MLPParams else np.concatenate([last.mu, last.rho])
+    assert np.all(np.isfinite(flat))
+    history = err.value.loss_history
+    assert history
+    assert [k for k, _ in history] == list(range(len(history)))
+    assert all(np.isfinite(l) for _, l in history)

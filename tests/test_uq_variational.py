@@ -13,7 +13,6 @@ from deuq.uq import (
     LikelihoodSpec,
     OptConfig,
     VariationalParams,
-    bbb_sample_weights,
     bbb_train,
     flipout_perturb,
     flipout_train,
@@ -21,6 +20,7 @@ from deuq.uq import (
     sign_dims,
     softplus_sigma,
 )
+from oracles import bbb_sample_weights
 
 CFG = nets.MLPConfig(1, 1, (3,), seed=8)
 
