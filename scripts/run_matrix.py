@@ -5,12 +5,15 @@ This reproduces the headline qualitative result: tight predictive bands on
 the training domain that widen outside it, with conditions carrying zero
 uncertainty. Band CSVs land in the output directory for plotting. The
 summary records the sha256 of each band CSV and report JSON, so two
-summaries at one seed show whether a change kept every band byte for byte.
+summaries at one seed show whether a change kept every band byte for byte,
+and the wall time of each pair's `experiment.run` call as `wall_s` (it
+includes the stage-1 solve only where the pair did not reuse a cached one).
 """
 
 import argparse
 import hashlib
 import json
+import time
 from pathlib import Path
 
 from deuq import experiment
@@ -31,17 +34,20 @@ def main() -> None:
             config = experiment.ExperimentConfig(
                 preset=preset, method=method, seed=args.seed, output_dir=args.out,
             )
+            start = time.perf_counter()
             paths = experiment.run(config)
+            wall_s = time.perf_counter() - start
             report = json.loads(Path(paths.report_json).read_text())
             digests = {f"{kind}_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()
                        for kind, path in (("band", paths.band_csv), ("report", paths.report_json))}
-            rows.append((preset, method, {**report, **digests}))
+            rows.append((preset, method, {**report, **digests, "wall_s": wall_s}))
             print(
                 f"{preset:15s} {method:8s} "
                 f"coverage={report['coverage_k2']:.3f} "
                 f"inflation={report['inflation_ratio']:8.2f} "
                 f"std_train={report['mean_std_train']:.2e} "
-                f"rmse={report['rmse_train']:.2e}",
+                f"rmse={report['rmse_train']:.2e} "
+                f"wall={wall_s:7.2f}s",
                 flush=True,
             )
 

@@ -102,6 +102,11 @@ def _cmd_uq(args) -> int:
             f"stage-1 file is for preset {result.problem.name!r}, "
             f"config says {config.preset!r}"
         )
+    if result.settings_digest != experiment.stage1_digest(config, result.problem):
+        raise ConfigError(
+            "stage-1 file was not solved with this config's stage-1 settings "
+            "(network, collocation, training); solve again or pass its settings"
+        )
     _print_artifacts(experiment.run_uq(config, result, args.stage1))
     return 0
 

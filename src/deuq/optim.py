@@ -40,7 +40,8 @@ def fit(loss_and_grad: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarr
     ``epochs`` times, stopping early once the loss is at most ``tolerance``.
 
     ``loss_and_grad(x)`` returns the loss at x and a function that returns
-    its gradient. Each evaluation is dropped only once the next one has
+    its gradient, taken only when a step needs it (never for the returned
+    vector). Each evaluation is dropped only once the next one has
     been built, before that one's gradient is taken, so the freed record
     serves the backward pass instead of going back to the system and
     being faulted in again (on the Burgers NLM fit, dropping it earlier
@@ -58,15 +59,13 @@ def fit(loss_and_grad: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarr
     loss, gradient = loss_and_grad(x)
     if not np.isfinite(loss):
         raise DivergenceError(f"initial {name} is non-finite", params(x), [])
-    grad = gradient()
     history = [(0, loss)]
     for step in range(1, epochs + 1):
-        new_x = opt.step(x, grad)
+        new_x = opt.step(x, gradient())
         loss, gradient = loss_and_grad(new_x)
         if not np.isfinite(loss):
             raise DivergenceError(f"{name} became non-finite at step {step}",
                                   params(x), history)
-        grad = gradient()
         x = new_x
         history.append((step, loss))
         if loss <= tolerance:

@@ -7,17 +7,24 @@ oracle for the fused jet kernel in `deuq.nets.JetKernel`.
 
 Two small samplers sit here too, because only tests call them: the
 stage-1 dataset on a chosen grid, and one shared-noise posterior draw.
+
+So do the reference integrators as first written, on numpy arrays: RK4 on
+an array state and Crank-Nicolson with `solve_banded` on a fresh banded
+matrix per Newton step. `deuq.problems` does the same arithmetic with
+less overhead and must match them bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from deuq import nets, problems, stage1
 from deuq.autodiff import Jet2
-from deuq.errors import StructuralError
+from deuq.errors import OracleError, StructuralError
 from deuq.uq.variational import VariationalParams
 
 
@@ -86,3 +93,97 @@ def bbb_sample_weights(q: VariationalParams, noise: np.ndarray) -> nets.MLPParam
     if q.config is None:
         raise StructuralError("sampling into layers requires a network config")
     return nets.MLPParams.from_flat(q.config, q.mu + q.sigma * noise)
+
+
+def rk4_path(f, t0: float, y0: np.ndarray, ts: np.ndarray, max_step: float) -> np.ndarray:
+    """Classical fourth-order Runge-Kutta on a numpy array state, from t0
+    through every requested time in steps no longer than max_step."""
+    ts = np.asarray(ts, dtype=float)
+    y = np.asarray(y0, dtype=float).copy()
+    out = np.empty((ts.size, y.size))
+    t = t0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, target in enumerate(ts):
+            gap = target - t
+            n = max(1, int(math.ceil(gap / max_step))) if gap > 0 else 0
+            h = gap / n if n else 0.0
+            for _ in range(n):
+                k1 = f(t, y)
+                k2 = f(t + h / 2.0, y + h / 2.0 * k1)
+                k3 = f(t + h / 2.0, y + h / 2.0 * k2)
+                k4 = f(t + h, y + h * k3)
+                y = y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t += h
+            if not np.all(np.isfinite(y)):
+                raise OracleError(f"RK4 state became non-finite near t={t:.6g}")
+            t = target
+            out[i] = y
+    return out
+
+
+def ode_reference(problem: problems.ProblemSpec, grid: np.ndarray,
+                  rk4_step: float = 1e-3) -> np.ndarray:
+    """`problems.reference_solution` for duffing and lotka_volterra, with
+    array-valued right-hand sides on the array RK4 above."""
+    c = problem.coefficients
+    if problem.name == "duffing":
+        def f(t, y):
+            return np.array([y[1], -(c["omega"] ** 2) * y[0] - c["eps_nl"] * y[0] ** 3])
+        y0 = np.array([c["u0"], c["du0"]])
+    else:
+        a, b, d, g = c["lv_alpha"], c["lv_beta"], c["lv_delta"], c["lv_gamma"]
+
+        def f(t, y):
+            u, v = y
+            dv = d * u * v - g * v if c["lv_standard_form"] else -d * u + g * u * v
+            return np.array([a * u - b * u * v, dv])
+        y0 = np.array([c["u0"], c["v0"]])
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    order = np.argsort(grid[:, 0])
+    path = rk4_path(f, problem.train_domain[0][0], y0, grid[order, 0], rk4_step)
+    out = np.empty((grid.shape[0], problem.n_outputs))
+    out[order] = path[:, :problem.n_outputs]
+    return out
+
+
+def crank_nicolson_burgers(visc: float, xl: float, xr: float, t_end: float,
+                           nx: int = 513, dt: float = 5e-4):
+    """Implicit Crank-Nicolson with Newton iterations, one `solve_banded`
+    call on a freshly built banded Jacobian per iteration. Returns (x, t, u)
+    with u of shape (nt, nx)."""
+    x = np.linspace(xl, xr, nx)
+    dx = x[1] - x[0]
+    nt = int(round(t_end / dt)) + 1
+    t = np.linspace(0.0, t_end, nt)
+    u = np.empty((nt, nx))
+    u[0] = -np.sin(np.pi * x)
+
+    def rhs(v):
+        # N(v) = v v_x - visc v_xx on interior points
+        vx = (v[2:] - v[:-2]) / (2.0 * dx)
+        vxx = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dx**2
+        return v[1:-1] * vx - visc * vxx
+
+    for n in range(1, nt):
+        prev = u[n - 1]
+        explicit = prev[1:-1] + 0.5 * dt * (-rhs(prev))
+        v = prev.copy()
+        for _ in range(20):
+            F = v[1:-1] + 0.5 * dt * rhs(v) - explicit
+            main = 1.0 + 0.5 * dt * ((v[2:] - v[:-2]) / (2.0 * dx) + 2.0 * visc / dx**2)
+            lower = 0.5 * dt * (-v[1:-1] / (2.0 * dx) - visc / dx**2)
+            upper = 0.5 * dt * (v[1:-1] / (2.0 * dx) - visc / dx**2)
+            ab = np.zeros((3, nx - 2))
+            ab[0, 1:] = upper[:-1]
+            ab[1] = main
+            ab[2, :-1] = lower[1:]
+            delta = solve_banded((1, 1), ab, F)
+            v[1:-1] -= delta
+            if np.max(np.abs(delta)) < 1e-12:
+                break
+        if not np.all(np.isfinite(v)):
+            raise OracleError(f"Crank-Nicolson state became non-finite at t={t[n]:.6g}")
+        u[n] = v
+        u[n, 0] = 0.0
+        u[n, -1] = 0.0
+    return x, t, u

@@ -228,6 +228,21 @@ def test_cli_solve_then_uq_writes_the_files_of_run(tmp_path):
     assert {**echo[split], "output_dir": None} == {**echo[whole], "output_dir": None}
 
 
+def test_cli_uq_rejects_a_stage1_file_of_other_settings(tmp_path, capsys):
+    common = ["--preset", "linear_ode", "--seed", "6", "--out", str(tmp_path),
+              "--n-collocation", "16", "--dataset-grid", "33"]
+    assert main(["solve", *common, "--epochs-stage1", "30"]) == 0
+    stage1_file = tmp_path / "stage1_linear_ode_seed6.json"
+    before = sorted(tmp_path.iterdir())
+    for claimed in (["--epochs-stage1", "500", "--hidden-sizes", "8"],
+                    ["--epochs-stage1", "500"]):
+        assert main(["uq", "--stage1", str(stage1_file), *common, *claimed,
+                     "--method", "nlm", "--epochs-stage2", "20",
+                     "--eval-grid", "31"]) == 2
+        assert "stage-1 settings" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_cli_config_file_with_flag_override(tmp_path):
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({

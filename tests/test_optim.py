@@ -23,6 +23,23 @@ def test_history_is_step_loss_pairs_ending_at_the_returned_vector():
     assert history[-1][1] == f(x)[0]
 
 
+def test_gradient_is_taken_once_per_step_and_never_at_the_returned_vector():
+    taken = []
+
+    def loss_and_grad(x):
+        def gradient():
+            taken.append(x)
+            return 2.0 * x
+        return float(x @ x), gradient
+
+    x, history = fit(loss_and_grad, np.array([1.0, -2.0]), 0.1, 25)
+    assert len(taken) == 25 == len(history) - 1
+    assert not any(t is x for t in taken)
+    taken.clear()
+    _, history = fit(loss_and_grad, np.array([1.0, -2.0]), 0.1, 500, tolerance=0.5)
+    assert len(taken) == len(history) - 1
+
+
 def test_no_tolerance_runs_every_epoch_through_negative_losses():
     # stage-2 objectives can be negative, so no tolerance means none at all
     _, history = fit(_shifted_square(10.0), np.array([1.0, -2.0]), 0.1, 40)

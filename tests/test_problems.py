@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from deuq import problems
 from deuq.autodiff import Jet2, exp, seed_input
-from deuq.errors import ConfigError, StructuralError
+from deuq.errors import ConfigError, OracleError, StructuralError
+from oracles import crank_nicolson_burgers, ode_reference
 
 
 def _jet_solution_linear(t):
@@ -127,10 +128,37 @@ def test_rk4_step_halving_converges():
 
 def test_rk4_nonfinite_raises_oracle_error():
     from deuq.problems import rk4_path
-    from deuq.errors import OracleError
 
     with pytest.raises(OracleError):
-        rk4_path(lambda t, y: y * y, 0.0, np.array([3.0]), np.array([5.0]), 1e-2)
+        rk4_path(lambda t, y: (y[0] * y[0],), 0.0, (3.0,), np.array([5.0]), 1e-2)
+
+
+def test_duffing_reference_with_huge_start_raises_oracle_error():
+    # u0^3 overflows: numpy would give inf, Python floats raise OverflowError
+    p = problems.duffing(u0=1e200)
+    with pytest.raises(OracleError):
+        problems.reference_solution(p, np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("name,overrides", [
+    ("duffing", {}),
+    ("duffing", {"eps_nl": 0}),
+    ("lotka_volterra", {}),
+    ("lotka_volterra", {"lv_standard_form": True}),
+])
+def test_rk4_reference_equals_the_array_oracle_bit_for_bit(name, overrides):
+    p = problems.make_preset(name, **overrides)
+    grid = problems.grid_points(p.extrap_domain, 37)[::-1]  # unsorted on purpose
+    np.testing.assert_array_equal(problems.reference_solution(p, grid),
+                                  ode_reference(p, grid))
+
+
+@pytest.mark.parametrize("visc", [0.1, 0.05])
+def test_crank_nicolson_equals_the_solve_banded_oracle_bit_for_bit(visc):
+    lean = problems._crank_nicolson_burgers(visc, -1.0, 1.0, 0.25)
+    banded = crank_nicolson_burgers(visc, -1.0, 1.0, 0.25)
+    for a, b in zip(lean, banded):
+        np.testing.assert_array_equal(a, b)
 
 
 def test_lv_standard_form_switch():
