@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 from scipy.special import digamma, expit, gammaln
@@ -64,9 +64,6 @@ class Var:
     @property
     def T(self) -> "Var":
         return transpose(self)
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Var({self.data!r})"
@@ -316,13 +313,6 @@ def _check_nonzero(value):
         raise DomainError("division by a jet with zero value")
 
 
-def seed_input(value, active: bool = True) -> Jet2:
-    """Wrap an input as a jet: seeded direction gets d1 = 1, constants 0."""
-    one = np.ones_like(np.asarray(value, dtype=float)) if isinstance(value, np.ndarray) else 1.0
-    zero = np.zeros_like(np.asarray(value, dtype=float)) if isinstance(value, np.ndarray) else 0.0
-    return Jet2(value, one if active else zero, zero)
-
-
 # ---------------------------------------------------------------------
 # Type-dispatched elementary functions
 # ---------------------------------------------------------------------
@@ -437,39 +427,3 @@ def grad_params(objective: Var, params: Sequence[Var]) -> np.ndarray:
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         pieces.append(np.asarray(g, dtype=float).ravel())
     return np.concatenate(pieces) if pieces else np.zeros(0)
-
-
-def finite_diff_check(objective: Callable, params: np.ndarray, step: float) -> float:
-    """Max relative deviation between reverse-mode and central differences.
-
-    `objective` must map a flat parameter vector (ndarray or Var) to a
-    scalar using the dispatched operations above.
-    """
-    if step <= 0.0:
-        raise ConfigError("finite difference step must be > 0")
-    params = np.asarray(params, dtype=float)
-    leaf = Var(params)
-    out = objective(leaf)
-    if not isinstance(out, Var):
-        raise StructuralError("objective did not produce a recorded scalar")
-    grad = grad_params(out, [leaf])
-
-    worst = 0.0
-    for i in range(params.size):
-        bumped = params.copy()
-        bumped[i] += step
-        hi = float(objective(bumped))
-        bumped[i] = params[i] - step
-        lo = float(objective(bumped))
-        fd = (hi - lo) / (2.0 * step)
-        scale = max(abs(grad[i]), abs(fd), 1.0)
-        worst = max(worst, abs(grad[i] - fd) / scale)
-    return worst
-
-
-def central_diff_1(f: Callable[[float], float], x: float, step: float) -> float:
-    return (f(x + step) - f(x - step)) / (2.0 * step)
-
-
-def central_diff_2(f: Callable[[float], float], x: float, step: float) -> float:
-    return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)

@@ -21,6 +21,7 @@ import numpy as np
 
 from . import metrics, nets, problems, stage1
 from .errors import ConfigError, StructuralError
+from .stage1 import atomic_write as _atomic_write
 from .uq import (
     GaussianPrior,
     LikelihoodSpec,
@@ -113,6 +114,8 @@ class ExperimentConfig:
             )
         if self.method in ("bbb", "flipout") and self.n_mc_samples < 2:
             raise ConfigError("n_mc_samples must be at least 2 for MC methods")
+        if not self.coverage_k > 0.0:
+            raise ConfigError("coverage width k must be positive")
         if self.hidden_sizes is not None:
             self.hidden_sizes = tuple(self.hidden_sizes)
         if self.stage2_hidden_sizes is not None:
@@ -257,10 +260,9 @@ def run_method(config: ExperimentConfig, result: stage1.Stage1Result) -> Predict
         der_config, init_mu = head(4 * problem.n_outputs)
         params = der_train(
             dataset, der_config, config.der_lambda, opt,
-            problem=problem, n_outputs=problem.n_outputs, init_params=init_mu,
-            like=like,
+            problem=problem, init_params=init_mu, like=like,
         )
-        raw = der_band(der_evaluate(params, grid, problem.n_outputs, like), grid)
+        raw = der_band(der_evaluate(params, grid, like), grid)
     return enforce_predictive(raw, problem.transform)
 
 
@@ -268,12 +270,6 @@ def output_root(config: ExperimentConfig) -> Path:
     root = os.environ.get(OUTPUT_ROOT_ENV)
     base = Path(root) if root else Path(".")
     return base / config.output_dir
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
 
 
 def stage1_path(config: ExperimentConfig) -> Path:

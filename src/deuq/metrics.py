@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import ConfigError, StructuralError
 from .problems import Interval
 from .uq.predictive import PredictiveBand
 
@@ -35,8 +35,8 @@ class BandReport:
 
 def coverage(band: PredictiveBand, reference: np.ndarray, k: float) -> float:
     """Fraction of grid entries with |mean - reference| <= k * std."""
-    if k <= 0.0:
-        raise StructuralError("coverage width k must be positive")
+    if not k > 0.0:
+        raise ConfigError("coverage width k must be positive")
     reference = _aligned_reference(band, reference)
     hit = np.abs(band.mean - reference) <= k * band.std
     return float(hit.mean())

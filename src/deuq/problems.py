@@ -457,59 +457,67 @@ def _crank_nicolson_burgers(visc: float, xl: float, xr: float, t_end: float,
     return x, t, u
 
 
-_burgers_oracle_cache: dict = {}
+# Reference solves memoized per process: an ODE's RK4 path per preset,
+# coefficients, start time, step and sorted grid times; the Burgers
+# Crank-Nicolson field, which no grid changes, per coefficients and domain.
+_reference_memo: dict = {}
+
+
+def _memoized(key: tuple, solve: Callable):
+    """solve() once per key; an OracleError propagates and is not stored,
+    so a failing solve raises again on every call."""
+    if key not in _reference_memo:
+        _reference_memo[key] = solve()
+    return _reference_memo[key]
 
 
 def reference_solution(problem: ProblemSpec, grid: np.ndarray,
                        rk4_step: float = 1e-3) -> np.ndarray:
-    """Reference values on (n, input_dim) grid points, one column per output.
+    """Reference values on (n, input_dim) grid points, one column per output,
+    as a fresh array.
 
     linear_ode is analytic; duffing and lotka_volterra use RK4; burgers uses
-    a cached fine-grid Crank-Nicolson solve with linear interpolation.
+    a fine-grid Crank-Nicolson solve with linear interpolation. The RK4
+    paths and the Crank-Nicolson field are memoized per process.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     for axis, (lo, hi) in enumerate(problem.extrap_domain):
         if np.any(grid[:, axis] < lo) or np.any(grid[:, axis] > hi):
             raise ConfigError("grid must lie inside extrap_domain")
     c = problem.coefficients
+    coeff_key = tuple(sorted(c.items()))
     if problem.name == "linear_ode":
         t0 = problem.train_domain[0][0]
         t = grid[:, 0]
         return (c["u0"] * np.exp(t0**2 - t**2)).reshape(-1, 1)
-    if problem.name == "duffing":
+    if problem.name in ("duffing", "lotka_volterra"):
         t0 = problem.train_domain[0][0]
+        if problem.name == "duffing":
+            y0 = (c["u0"], c["du0"])
 
-        def f(t, y):
-            return (y[1], -(c["omega"] ** 2) * y[0] - c["eps_nl"] * y[0] ** 3)
+            def f(t, y):
+                return (y[1], -(c["omega"] ** 2) * y[0] - c["eps_nl"] * y[0] ** 3)
+        else:
+            y0 = (c["u0"], c["v0"])
+            a, b, d, g = c["lv_alpha"], c["lv_beta"], c["lv_delta"], c["lv_gamma"]
+
+            def f(t, y):
+                u, v = y
+                dv = d * u * v - g * v if c["lv_standard_form"] else -d * u + g * u * v
+                return (a * u - b * u * v, dv)
 
         order = np.argsort(grid[:, 0])
-        path = rk4_path(f, t0, (c["u0"], c["du0"]), grid[order, 0], rk4_step)
-        out = np.empty((grid.shape[0], 1))
-        out[order, 0] = path[:, 0]
-        return out
-    if problem.name == "lotka_volterra":
-        t0 = problem.train_domain[0][0]
-        a, b, d, g = c["lv_alpha"], c["lv_beta"], c["lv_delta"], c["lv_gamma"]
-
-        def f(t, y):
-            u, v = y
-            dv = d * u * v - g * v if c["lv_standard_form"] else -d * u + g * u * v
-            return (a * u - b * u * v, dv)
-
-        order = np.argsort(grid[:, 0])
-        path = rk4_path(f, t0, (c["u0"], c["v0"]), grid[order, 0], rk4_step)
-        out = np.empty((grid.shape[0], 2))
-        out[order] = path
+        times = grid[order, 0]
+        path = _memoized((problem.name, coeff_key, t0, rk4_step, times.tobytes()),
+                         lambda: rk4_path(f, t0, y0, times, rk4_step))
+        out = np.empty((grid.shape[0], problem.n_outputs))
+        out[order] = path[:, :problem.n_outputs]
         return out
     if problem.name == "burgers":
-        xl, xr = problem.train_domain[0]
-        t_end = problem.extrap_domain[1][1]
-        key = (c["visc"], xl, xr, t_end)
-        if key not in _burgers_oracle_cache:
-            _burgers_oracle_cache[key] = _crank_nicolson_burgers(c["visc"], xl, xr, t_end)
-        x, t, u = _burgers_oracle_cache[key]
-        interp = RegularGridInterpolator((t, x), u)
-        return interp(grid[:, [1, 0]]).reshape(-1, 1)
+        (xl, xr), t_end = problem.train_domain[0], problem.extrap_domain[1][1]
+        x, t, u = _memoized((problem.name, coeff_key, xl, xr, t_end),
+                            lambda: _crank_nicolson_burgers(c["visc"], xl, xr, t_end))
+        return RegularGridInterpolator((t, x), u)(grid[:, [1, 0]]).reshape(-1, 1)
     raise ConfigError(f"no reference solver for {problem.name!r}")
 
 

@@ -8,8 +8,9 @@ stage-two probabilistic regressors consume.
 
 from __future__ import annotations
 
+import dataclasses
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -157,6 +158,15 @@ def evaluate_enforced(problem: problems.ProblemSpec, params: nets.MLPParams,
     return A + B * raw
 
 
+def atomic_write(path, text: str) -> None:
+    """Write `text` under a temporary name, then rename it into place, so
+    a reader never sees a partial file. Every artifact is written this way."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
+
+
 def save_result(result: Stage1Result, path, problem_overrides: dict | None = None,
                 settings_digest: str | None = None) -> None:
     """JSON handoff file: {net_config, flat_params, loss_history, dataset}.
@@ -165,15 +175,8 @@ def save_result(result: Stage1Result, path, problem_overrides: dict | None = Non
     it, which is enough to reconstruct every preset. ``settings_digest``
     identifies the settings of the solve, for cache reuse.
     """
-    cfg = result.params.config
     payload = {
-        "net_config": {
-            "input_dim": cfg.input_dim,
-            "output_dim": cfg.output_dim,
-            "hidden_sizes": list(cfg.hidden_sizes),
-            "activation": cfg.activation,
-            "seed": cfg.seed,
-        },
+        "net_config": dataclasses.asdict(result.params.config),
         "flat_params": result.params.flat().tolist(),
         "loss_history": [[int(e), float(l)] for e, l in result.loss_history],
         "dataset": {
@@ -186,20 +189,12 @@ def save_result(result: Stage1Result, path, problem_overrides: dict | None = Non
         },
         "settings_digest": settings_digest,
     }
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    tmp.replace(path)
+    atomic_write(path, json.dumps(payload, sort_keys=True))
 
 
 def load_result(path) -> Stage1Result:
     payload = json.loads(Path(path).read_text())
-    cfg = nets.MLPConfig(
-        input_dim=payload["net_config"]["input_dim"],
-        output_dim=payload["net_config"]["output_dim"],
-        hidden_sizes=tuple(payload["net_config"]["hidden_sizes"]),
-        activation=payload["net_config"]["activation"],
-        seed=payload["net_config"]["seed"],
-    )
+    cfg = nets.MLPConfig(**payload["net_config"])
     problem = problems.make_preset(
         payload["problem"]["name"], **payload["problem"]["overrides"]
     )

@@ -14,7 +14,7 @@ from .der import (
     der_predictive,
     der_train,
 )
-from .nlm import NLMPosterior, feature_map, nlm_fit, nlm_fit_dataset, nlm_predict, train_feature_net
+from .nlm import NLMPosterior, feature_map, nlm_fit, nlm_fit_dataset, train_feature_net
 from .predictive import (
     PredictiveBand,
     der_band,
@@ -25,9 +25,7 @@ from .predictive import (
 from .variational import (
     VariationalParams,
     bbb_train,
-    flipout_perturb,
     flipout_train,
-    kl_gaussian_diag,
     sign_dims,
     softplus_sigma,
 )
@@ -50,13 +48,10 @@ __all__ = [
     "der_train",
     "enforce_predictive",
     "feature_map",
-    "flipout_perturb",
     "flipout_train",
-    "kl_gaussian_diag",
     "nlm_band",
     "nlm_fit",
     "nlm_fit_dataset",
-    "nlm_predict",
     "posterior_predictive_mc",
     "sign_dims",
     "softplus_sigma",

@@ -95,9 +95,9 @@ def der_predictive(out: EvidentialOutput) -> tuple:
 
 
 def der_train(dataset, net_config: nets.MLPConfig, lam: float,
-              opt_config: OptConfig, problem=None, n_outputs: int = 1,
+              opt_config: OptConfig, problem=None,
               init_params=None, like: LikelihoodSpec = LikelihoodSpec()) -> nets.MLPParams:
-    """Train a 4*n_outputs-channel head on the dataset.
+    """Train a head with four channels per output on the dataset.
 
     The likelihood scale ``like.eps`` floors the raw-unit NIG scale:
     beta becomes softplus(raw_beta) + eps^2 (alpha - 1), so the aleatoric
@@ -113,8 +113,9 @@ def der_train(dataset, net_config: nets.MLPConfig, lam: float,
     so the observation carries no evidence (and the marginal is singular).
     """
     X, Y = dataset_arrays(dataset)
-    if net_config.output_dim != 4 * n_outputs:
-        raise ConfigError("evidential head needs output_dim = 4 * n_outputs")
+    if net_config.output_dim % 4:
+        raise ConfigError("evidential head needs four output channels per output")
+    n_outputs = net_config.output_dim // 4
     A, B = enforced_head_values(problem, X, n_outputs)
     keep = [np.flatnonzero(B[:, k] != 0.0) for k in range(n_outputs)]
     if any(idx.size == 0 for idx in keep):
@@ -148,9 +149,10 @@ def der_train(dataset, net_config: nets.MLPConfig, lam: float,
     return params
 
 
-def der_evaluate(params: nets.MLPParams, points: np.ndarray, n_outputs: int = 1,
+def der_evaluate(params: nets.MLPParams, points: np.ndarray,
                  like: LikelihoodSpec = LikelihoodSpec()) -> list[EvidentialOutput]:
     """Raw-unit NIG hyperparameters per output on (n, d) grid points, with
     the ``like.eps`` scale floor the head was trained under."""
     raw = nets.evaluate(params, points)
+    n_outputs = params.config.output_dim // 4
     return [_scale_floor(der_head(raw[:, 4 * k : 4 * k + 4]), like.eps) for k in range(n_outputs)]

@@ -24,9 +24,8 @@ class NLMPosterior:
     """Closed-form last-layer posterior N(mean, cov) over feature weights.
 
     ``feature_params`` holds the trained extractor network (None when the
-    posterior was fit on raw feature vectors). ``include_eps_variance``
-    optionally adds the fixed observation variance eps^2 to predictions;
-    by default only the epistemic term phi' Cov phi is reported.
+    posterior was fit on raw feature vectors). Predictions report the
+    epistemic term phi' Cov phi only.
     """
 
     feature_params: nets.MLPParams | None
@@ -34,7 +33,6 @@ class NLMPosterior:
     posterior_cov: np.ndarray
     eps: float
     prior_std: float
-    include_eps_variance: bool = False
 
 
 def nlm_fit(features: np.ndarray, targets: np.ndarray, eps: float,
@@ -67,20 +65,6 @@ def feature_map(params: nets.MLPParams, points: np.ndarray) -> np.ndarray:
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
         h = act(h @ W.T + b)
     return np.hstack([h, np.ones((h.shape[0], 1))])
-
-
-def nlm_predict(post: NLMPosterior, point) -> tuple[float, float]:
-    """Posterior predictive (mean, std) at one domain point, or directly at
-    one feature vector when the posterior has no feature network."""
-    if post.feature_params is not None:
-        phi = feature_map(post.feature_params, np.atleast_2d(point))[0]
-    else:
-        phi = np.asarray(point, dtype=float).ravel()
-    mean = float(phi @ post.posterior_mean)
-    var = float(phi @ post.posterior_cov @ phi)
-    if post.include_eps_variance:
-        var += post.eps**2
-    return mean, float(np.sqrt(max(var, 0.0)))
 
 
 def train_feature_net(dataset, net_config: nets.MLPConfig, opt_config: OptConfig,

@@ -78,8 +78,6 @@ def nlm_band(posts: list[NLMPosterior], grid: np.ndarray) -> PredictiveBand:
         phi = feature_map(post.feature_params, grid) if post.feature_params is not None else grid
         mean = phi @ post.posterior_mean
         var = np.einsum("nd,de,ne->n", phi, post.posterior_cov, phi)
-        if post.include_eps_variance:
-            var = var + post.eps**2
         means.append(mean)
         stds.append(np.sqrt(np.maximum(var, 0.0)))
     return PredictiveBand(grid, np.stack(means, axis=1), np.stack(stds, axis=1))

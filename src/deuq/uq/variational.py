@@ -60,60 +60,10 @@ def softplus_sigma(rho):
     return np.logaddexp(0.0, rho)
 
 
-def kl_gaussian_diag(q: VariationalParams, prior: GaussianPrior) -> float:
-    """Closed-form KL(q || prior) summed over all weights; zero iff equal."""
-    sigma = q.sigma
-    if q.config is None:
-        if isinstance(prior.std, tuple):
-            raise ConfigError("per-layer prior requires a network config")
-        s = np.full_like(q.mu, float(prior.std))
-    else:
-        s = prior.per_param(q.config)
-    return float(np.sum(np.log(s / sigma) + (sigma**2 + q.mu**2) / (2.0 * s**2) - 0.5))
-
-
 def sign_dims(config: nets.MLPConfig) -> tuple[int, int]:
     """Total output-side and input-side sign entries across layers."""
     shapes = config.layer_shapes()
     return sum(o for o, _ in shapes), sum(i for _, i in shapes)
-
-
-def flipout_perturb(q: VariationalParams, shared_noise: np.ndarray,
-                    r_signs: np.ndarray, s_signs: np.ndarray) -> list[nets.MLPParams]:
-    """Materialized per-example weights w_n = mu + (sigma o eps) o (r_n s_n^T).
-
-    ``r_signs`` has one +-1 entry per layer output unit and example,
-    ``s_signs`` one per layer input unit and example; biases flip with the
-    output-side signs. Expectation over signs equals mu.
-    """
-    if q.config is None:
-        raise StructuralError("flipout perturbation requires a network config")
-    r_signs = np.atleast_2d(np.asarray(r_signs, dtype=float))
-    s_signs = np.atleast_2d(np.asarray(s_signs, dtype=float))
-    if not np.all(np.isin(r_signs, (-1.0, 1.0))) or not np.all(np.isin(s_signs, (-1.0, 1.0))):
-        raise StructuralError("sign entries must be -1 or +1")
-    r_total, s_total = sign_dims(q.config)
-    if r_signs.shape[1] != r_total or s_signs.shape[1] != s_total:
-        raise StructuralError("sign vectors do not match the layer widths")
-    if r_signs.shape[0] != s_signs.shape[0]:
-        raise StructuralError("r and s must cover the same number of examples")
-    base = nets.MLPParams.from_flat(q.config, q.sigma * np.asarray(shared_noise, dtype=float))
-    mu = nets.MLPParams.from_flat(q.config, q.mu)
-    out = []
-    for n in range(r_signs.shape[0]):
-        weights, biases = [], []
-        r_off = s_off = 0
-        for (o, i), mW, mb, dW, db in zip(
-            q.config.layer_shapes(), mu.weights, mu.biases, base.weights, base.biases
-        ):
-            r = r_signs[n, r_off : r_off + o]
-            s = s_signs[n, s_off : s_off + i]
-            weights.append(mW + dW * np.outer(r, s))
-            biases.append(mb + db * r)
-            r_off += o
-            s_off += i
-        out.append(nets.MLPParams(q.config, weights, biases))
-    return out
 
 
 def _decomposed_forward(config, mu_Ws, mu_bs, d_Ws, d_bs, X, R, S, r_offsets, s_offsets):

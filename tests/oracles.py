@@ -12,19 +12,29 @@ So do the reference integrators as first written, on numpy arrays: RK4 on
 an array state and Crank-Nicolson with `solve_banded` on a fresh banded
 matrix per Newton step. `deuq.problems` does the same arithmetic with
 less overhead and must match them bit for bit.
+
+The rest are checks the pipeline never runs:
+- `seed_input`, `central_diff_1`, `central_diff_2` and `finite_diff_check`
+  check jet derivatives and tape gradients against finite differences;
+- `nlm_predict` is the per-point form of `deuq.uq.nlm_band`;
+- `flipout_perturb` materializes the per-example weights that the
+  flipout trainer's decomposed forward pass never builds;
+- `kl_gaussian_diag` is the closed-form KL the variational trainer
+  records inline on the tape.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
 
 from deuq import nets, problems, stage1
-from deuq.autodiff import Jet2
-from deuq.errors import OracleError, StructuralError
+from deuq.autodiff import Jet2, Var, grad_params
+from deuq.errors import ConfigError, OracleError, StructuralError
+from deuq.uq import GaussianPrior, NLMPosterior, feature_map, sign_dims
 from deuq.uq.variational import VariationalParams
 
 
@@ -187,3 +197,108 @@ def crank_nicolson_burgers(visc: float, xl: float, xr: float, t_end: float,
         u[n, 0] = 0.0
         u[n, -1] = 0.0
     return x, t, u
+
+
+def seed_input(value, active: bool = True) -> Jet2:
+    """Wrap an input as a jet: seeded direction gets d1 = 1, constants 0."""
+    one = np.ones_like(np.asarray(value, dtype=float)) if isinstance(value, np.ndarray) else 1.0
+    zero = np.zeros_like(np.asarray(value, dtype=float)) if isinstance(value, np.ndarray) else 0.0
+    return Jet2(value, one if active else zero, zero)
+
+
+def central_diff_1(f: Callable[[float], float], x: float, step: float) -> float:
+    return (f(x + step) - f(x - step)) / (2.0 * step)
+
+
+def central_diff_2(f: Callable[[float], float], x: float, step: float) -> float:
+    return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
+
+
+def finite_diff_check(objective: Callable, params: np.ndarray, step: float) -> float:
+    """Max relative deviation between reverse-mode and central differences.
+
+    `objective` must map a flat parameter vector (ndarray or Var) to a
+    scalar using the dispatched operations of `deuq.autodiff`.
+    """
+    if step <= 0.0:
+        raise ConfigError("finite difference step must be > 0")
+    params = np.asarray(params, dtype=float)
+    leaf = Var(params)
+    out = objective(leaf)
+    if not isinstance(out, Var):
+        raise StructuralError("objective did not produce a recorded scalar")
+    grad = grad_params(out, [leaf])
+
+    worst = 0.0
+    for i in range(params.size):
+        bumped = params.copy()
+        bumped[i] += step
+        hi = float(objective(bumped))
+        bumped[i] = params[i] - step
+        lo = float(objective(bumped))
+        fd = (hi - lo) / (2.0 * step)
+        scale = max(abs(grad[i]), abs(fd), 1.0)
+        worst = max(worst, abs(grad[i] - fd) / scale)
+    return worst
+
+
+def nlm_predict(post: NLMPosterior, point) -> tuple[float, float]:
+    """Posterior predictive (mean, std) at one domain point, or directly at
+    one feature vector when the posterior has no feature network."""
+    if post.feature_params is not None:
+        phi = feature_map(post.feature_params, np.atleast_2d(point))[0]
+    else:
+        phi = np.asarray(point, dtype=float).ravel()
+    mean = float(phi @ post.posterior_mean)
+    var = float(phi @ post.posterior_cov @ phi)
+    return mean, float(np.sqrt(max(var, 0.0)))
+
+
+def kl_gaussian_diag(q: VariationalParams, prior: GaussianPrior) -> float:
+    """Closed-form KL(q || prior) summed over all weights; zero iff equal."""
+    sigma = q.sigma
+    if q.config is None:
+        if isinstance(prior.std, tuple):
+            raise ConfigError("per-layer prior requires a network config")
+        s = np.full_like(q.mu, float(prior.std))
+    else:
+        s = prior.per_param(q.config)
+    return float(np.sum(np.log(s / sigma) + (sigma**2 + q.mu**2) / (2.0 * s**2) - 0.5))
+
+
+def flipout_perturb(q: VariationalParams, shared_noise: np.ndarray,
+                    r_signs: np.ndarray, s_signs: np.ndarray) -> list[nets.MLPParams]:
+    """Materialized per-example weights w_n = mu + (sigma o eps) o (r_n s_n^T).
+
+    ``r_signs`` has one +-1 entry per layer output unit and example,
+    ``s_signs`` one per layer input unit and example; biases flip with the
+    output-side signs. Expectation over signs equals mu.
+    """
+    if q.config is None:
+        raise StructuralError("flipout perturbation requires a network config")
+    r_signs = np.atleast_2d(np.asarray(r_signs, dtype=float))
+    s_signs = np.atleast_2d(np.asarray(s_signs, dtype=float))
+    if not np.all(np.isin(r_signs, (-1.0, 1.0))) or not np.all(np.isin(s_signs, (-1.0, 1.0))):
+        raise StructuralError("sign entries must be -1 or +1")
+    r_total, s_total = sign_dims(q.config)
+    if r_signs.shape[1] != r_total or s_signs.shape[1] != s_total:
+        raise StructuralError("sign vectors do not match the layer widths")
+    if r_signs.shape[0] != s_signs.shape[0]:
+        raise StructuralError("r and s must cover the same number of examples")
+    base = nets.MLPParams.from_flat(q.config, q.sigma * np.asarray(shared_noise, dtype=float))
+    mu = nets.MLPParams.from_flat(q.config, q.mu)
+    out = []
+    for n in range(r_signs.shape[0]):
+        weights, biases = [], []
+        r_off = s_off = 0
+        for (o, i), mW, mb, dW, db in zip(
+            q.config.layer_shapes(), mu.weights, mu.biases, base.weights, base.biases
+        ):
+            r = r_signs[n, r_off : r_off + o]
+            s = s_signs[n, s_off : s_off + i]
+            weights.append(mW + dW * np.outer(r, s))
+            biases.append(mb + db * r)
+            r_off += o
+            s_off += i
+        out.append(nets.MLPParams(q.config, weights, biases))
+    return out

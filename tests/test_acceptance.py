@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from deuq import experiment, metrics, nets, problems, stage1
-from deuq.autodiff import Var, central_diff_1, central_diff_2, finite_diff_check, seed_input
+from deuq.autodiff import Var
 from deuq.uq import (
     EvidentialOutput,
     GaussianPrior,
@@ -24,10 +24,10 @@ from deuq.uq import (
     enforce_predictive,
     flipout_train,
     nlm_fit,
-    nlm_predict,
     posterior_predictive_mc,
 )
 from deuq.uq.variational import VariationalParams
+from oracles import central_diff_1, central_diff_2, finite_diff_check, nlm_predict, seed_input
 
 SEEDS = (0, 1, 2)
 METHODS = ("bbb", "flipout", "nlm", "der")

@@ -8,19 +8,16 @@ from hypothesis import strategies as st
 from deuq.autodiff import (
     Jet2,
     Var,
-    central_diff_1,
-    central_diff_2,
     cos,
     exp,
-    finite_diff_check,
     grad_params,
     log,
-    seed_input,
     sin,
     softplus,
     tanh,
 )
 from deuq.errors import ConfigError, DomainError, StructuralError
+from oracles import central_diff_1, central_diff_2, finite_diff_check, seed_input
 
 safe_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 

@@ -263,6 +263,27 @@ def test_cli_rejects_unknown_config_keys(tmp_path, capsys):
     assert main(["run", "--config", str(config_file)]) == 2
 
 
+def test_cli_run_rejects_nonpositive_coverage_k_before_any_compute(tmp_path, capsys):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({
+        "preset": "linear_ode", "method": "nlm", **FAST, "coverage_k": 0,
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["run", "--config", str(config_file)]) == 2
+    assert "coverage width k" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_cli_report_rejects_nonpositive_coverage_k(tmp_path, capsys, k):
+    grid = np.linspace(0.0, 3.0, 7).reshape(-1, 1)
+    band = PredictiveBand(grid, np.ones((7, 1)), np.ones((7, 1)), enforced=True)
+    path = tmp_path / "band.csv"
+    experiment.emit_band_csv(band, np.ones((7, 1)), ((0.0, 2.0),), path)
+    assert main(["report", "--band", str(path), "--coverage-k", k]) == 2
+    assert "coverage width k" in capsys.readouterr().err
+
+
 def test_output_root_env_variable(tmp_path, monkeypatch):
     monkeypatch.setenv(experiment.OUTPUT_ROOT_ENV, str(tmp_path))
     cfg = experiment.ExperimentConfig(output_dir="nested")

@@ -4,8 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deuq import nets
-from deuq.autodiff import Jet2, central_diff_1, central_diff_2, seed_input
+from deuq.autodiff import Jet2
 from deuq.errors import ConfigError, StructuralError
+from oracles import central_diff_1, central_diff_2, seed_input
 
 
 def test_init_is_deterministic_per_seed():

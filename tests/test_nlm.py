@@ -5,8 +5,9 @@ import pytest
 
 from deuq import nets
 from deuq.errors import ConfigError, StructuralError
-from deuq.uq import OptConfig, nlm_fit, nlm_fit_dataset, nlm_predict
+from deuq.uq import OptConfig, nlm_fit, nlm_fit_dataset
 from deuq.uq.nlm import feature_map, train_feature_net
+from oracles import nlm_predict
 
 
 def test_fit_with_no_data_returns_prior():

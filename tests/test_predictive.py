@@ -115,7 +115,7 @@ def test_mc_band_std_converges_with_sample_count():
 
 
 def test_nlm_band_matches_pointwise_predict():
-    from deuq.uq import nlm_predict
+    from oracles import nlm_predict
 
     rng = np.random.default_rng(4)
     phi = rng.normal(size=(30, 3))

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import RegularGridInterpolator
 
 from deuq import problems
-from deuq.autodiff import Jet2, exp, seed_input
+from deuq.autodiff import Jet2, exp
 from deuq.errors import ConfigError, OracleError, StructuralError
-from oracles import crank_nicolson_burgers, ode_reference
+from oracles import crank_nicolson_burgers, ode_reference, seed_input
 
 
 def _jet_solution_linear(t):
@@ -159,6 +160,82 @@ def test_crank_nicolson_equals_the_solve_banded_oracle_bit_for_bit(visc):
     banded = crank_nicolson_burgers(visc, -1.0, 1.0, 0.25)
     for a, b in zip(lean, banded):
         np.testing.assert_array_equal(a, b)
+
+
+@pytest.fixture
+def integrations(monkeypatch):
+    """Start from an empty reference memo and count the RK4 and
+    Crank-Nicolson solves behind it."""
+    monkeypatch.setattr(problems, "_reference_memo", {})
+    calls = {"rk4": 0, "cn": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(problems, "rk4_path", counted("rk4", problems.rk4_path))
+    monkeypatch.setattr(problems, "_crank_nicolson_burgers",
+                        counted("cn", problems._crank_nicolson_burgers))
+    return calls
+
+
+def test_reference_memo_integrates_a_repeated_ode_grid_once(integrations):
+    p = problems.make_preset("duffing")
+    grid = problems.grid_points(p.extrap_domain, 41)
+    first = problems.reference_solution(p, grid)
+    again = problems.reference_solution(p, grid)
+    shuffled = problems.reference_solution(p, grid[::-1])
+    assert integrations["rk4"] == 1
+    np.testing.assert_array_equal(first, ode_reference(p, grid))
+    np.testing.assert_array_equal(again, first)
+    np.testing.assert_array_equal(shuffled, first[::-1])
+
+
+@pytest.mark.parametrize("change", ["grid", "rk4_step", "lv_standard_form"])
+def test_reference_memo_integrates_again_when_a_key_part_changes(integrations, change):
+    p = problems.make_preset("lotka_volterra")
+    grid = problems.grid_points(p.extrap_domain, 41)
+    step = 1e-3
+    problems.reference_solution(p, grid, rk4_step=step)
+    if change == "grid":
+        grid = problems.grid_points(p.extrap_domain, 43)
+    elif change == "rk4_step":
+        step = 5e-4
+    else:
+        p = problems.make_preset("lotka_volterra", lv_standard_form=True)
+    out = problems.reference_solution(p, grid, rk4_step=step)
+    assert integrations["rk4"] == 2
+    np.testing.assert_array_equal(out, ode_reference(p, grid, rk4_step=step))
+
+
+def test_reference_memo_returns_fresh_arrays(integrations):
+    p = problems.make_preset("lotka_volterra")
+    grid = problems.grid_points(p.extrap_domain, 41)
+    problems.reference_solution(p, grid)[:] = np.nan
+    np.testing.assert_array_equal(problems.reference_solution(p, grid), ode_reference(p, grid))
+    assert integrations["rk4"] == 1
+
+
+def test_reference_memo_solves_the_burgers_field_once_for_every_grid(integrations):
+    p = problems.burgers(t_train=(0.0, 0.2), t_extrap=(0.0, 0.25))
+    coarse = problems.grid_points(p.extrap_domain, 9)
+    fine = problems.grid_points(p.extrap_domain, 13)
+    problems.reference_solution(p, coarse)[:] = np.nan
+    x, t, u = crank_nicolson_burgers(0.1, -1.0, 1.0, 0.25)
+    for grid in (coarse, fine):
+        expected = RegularGridInterpolator((t, x), u)(grid[:, [1, 0]]).reshape(-1, 1)
+        np.testing.assert_array_equal(problems.reference_solution(p, grid), expected)
+    assert integrations["cn"] == 1
+
+
+def test_reference_memo_does_not_store_an_oracle_error(integrations):
+    p = problems.duffing(u0=1e200)
+    for _ in range(2):
+        with pytest.raises(OracleError):
+            problems.reference_solution(p, np.array([[1.0]]))
+    assert integrations["rk4"] == 2
 
 
 def test_lv_standard_form_switch():

@@ -14,13 +14,11 @@ from deuq.uq import (
     OptConfig,
     VariationalParams,
     bbb_train,
-    flipout_perturb,
     flipout_train,
-    kl_gaussian_diag,
     sign_dims,
     softplus_sigma,
 )
-from oracles import bbb_sample_weights
+from oracles import bbb_sample_weights, flipout_perturb, kl_gaussian_diag
 
 CFG = nets.MLPConfig(1, 1, (3,), seed=8)
 
