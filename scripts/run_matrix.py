@@ -8,11 +8,17 @@ summary records the sha256 of each band CSV and report JSON, so two
 summaries at one seed show whether a change kept every band byte for byte,
 and the wall time of each pair's `experiment.run` call as `wall_s` (it
 includes the stage-1 solve only where the pair did not reuse a cached one).
+
+With `--compare OLD_SUMMARY.json` the script prints nothing but the pairs
+whose band or report sha256 differs from that summary (one line each,
+naming the digests that differ) and exits 1 if there is any: the byte check
+of a change against its parent at one seed.
 """
 
 import argparse
 import hashlib
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -26,7 +32,10 @@ def main() -> None:
     parser.add_argument("--presets", nargs="*",
                         default=["linear_ode", "duffing", "lotka_volterra", "burgers"])
     parser.add_argument("--methods", nargs="*", default=list(experiment.METHODS))
+    parser.add_argument("--compare", type=Path, metavar="OLD_SUMMARY.json",
+                        help="print only the pairs whose band or report sha256 differs")
     args = parser.parse_args()
+    old = json.loads(args.compare.read_text()) if args.compare else None
 
     rows = []
     for preset in args.presets:
@@ -41,6 +50,8 @@ def main() -> None:
             digests = {f"{kind}_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()
                        for kind, path in (("band", paths.band_csv), ("report", paths.report_json))}
             rows.append((preset, method, {**report, **digests, "wall_s": wall_s}))
+            if old is not None:
+                continue
             print(
                 f"{preset:15s} {method:8s} "
                 f"coverage={report['coverage_k2']:.3f} "
@@ -54,7 +65,17 @@ def main() -> None:
     summary = {f"{p}/{m}": r for p, m, r in rows}
     summary_path = Path(args.out) / f"summary_seed{args.seed}.json"
     summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2))
-    print(f"\nsummary: {summary_path}")
+    if old is None:
+        print(f"\nsummary: {summary_path}")
+        return
+    differ = False
+    for pair, row in summary.items():
+        kinds = [kind for kind in ("band", "report")
+                 if row[f"{kind}_sha256"] != old.get(pair, {}).get(f"{kind}_sha256")]
+        if kinds:
+            differ = True
+            print(f"{pair}: {', '.join(kinds)} sha256 differs", flush=True)
+    sys.exit(1 if differ else 0)
 
 
 if __name__ == "__main__":

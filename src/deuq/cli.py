@@ -51,6 +51,26 @@ def _add_run_options(p: argparse.ArgumentParser) -> None:
 _FLAG_FIELDS = {f.name for f in dataclasses.fields(experiment.ExperimentConfig)}
 
 
+def _add_coverage_k(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--coverage-k", type=float, default=2.0)
+
+
+def _file_value(key: str, value, flag: argparse.Action):
+    """A config-file value checked with the type of its flag; a float flag
+    also takes an integer, and a width flag a list of integers."""
+    if isinstance(flag.const, bool):
+        ok = isinstance(value, bool)
+    elif flag.type in (int, float):
+        ok = type(value) is int or (flag.type is float and type(value) is float)
+        value = flag.type(value) if ok else value
+    else:
+        ok = isinstance(value, str) or (key.endswith("hidden_sizes") and isinstance(value, list)
+                                        and all(type(w) is int for w in value))
+    if not ok:
+        raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
+    return value
+
+
 def _build_config(args: argparse.Namespace) -> experiment.ExperimentConfig:
     settings: dict = {}
     if args.config is not None:
@@ -63,6 +83,13 @@ def _build_config(args: argparse.Namespace) -> experiment.ExperimentConfig:
         unknown = set(settings) - _FLAG_FIELDS
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+        flags = argparse.ArgumentParser()
+        _add_run_options(flags)
+        _add_coverage_k(flags)  # `report`'s flag, for the coverage_k field
+        flags = {a.dest: a for a in flags._actions}
+        # a null leaves the field unset, like a flag that is not given
+        settings = {key: _file_value(key, value, flags[key])
+                    for key, value in settings.items() if value is not None}
     for name in _FLAG_FIELDS:
         value = getattr(args, name, None)
         if value is not None:
@@ -145,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="metrics from a saved band CSV")
     p_rep.add_argument("--band", type=Path, required=True)
-    p_rep.add_argument("--coverage-k", type=float, default=2.0)
+    _add_coverage_k(p_rep)
     p_rep.add_argument("--out", type=Path)
     p_rep.set_defaults(func=_cmd_report)
     return parser

@@ -36,6 +36,7 @@ from .uq import (
     nlm_fit_dataset,
     posterior_predictive_mc,
 )
+from .uq.der import check_lambda
 from .uq.predictive import PredictiveBand
 
 METHODS = ("bbb", "flipout", "nlm", "der")
@@ -116,6 +117,8 @@ class ExperimentConfig:
             raise ConfigError("n_mc_samples must be at least 2 for MC methods")
         if not self.coverage_k > 0.0:
             raise ConfigError("coverage width k must be positive")
+        if self.eval_grid is not None and self.eval_grid < 2:
+            raise ConfigError("eval_grid must be at least 2 points per dimension")
         if self.hidden_sizes is not None:
             self.hidden_sizes = tuple(self.hidden_sizes)
         if self.stage2_hidden_sizes is not None:
@@ -123,24 +126,15 @@ class ExperimentConfig:
 
     def resolved(self) -> dict:
         """Every effective parameter with preset defaults filled in."""
-        d = _PRESET_DEFAULTS[self.preset]
         out = dataclasses.asdict(self)
-        out["hidden_sizes"] = list(self.hidden_sizes or d["hidden_sizes"])
-        out["n_collocation"] = self.n_collocation or d["n_collocation"]
-        out["epochs_stage1"] = self.epochs_stage1 or d["epochs_stage1"]
-        out["lr_stage1"] = self.lr_stage1 or d["lr_stage1"]
-        out["dataset_grid"] = self.dataset_grid or d["dataset_grid"]
-        out["eval_grid"] = self.eval_grid or d["eval_grid"]
-        out["stage2_hidden_sizes"] = list(
-            self.stage2_hidden_sizes
-            or _METHOD_STAGE2_HIDDEN.get(self.method)
-            or out["hidden_sizes"]
-        )
-        out["epochs_stage2"] = (
-            self.epochs_stage2
-            or d.get("epochs_stage2")
-            or _METHOD_STAGE2_EPOCHS[self.method]
-        )
+        defaults = {"epochs_stage2": _METHOD_STAGE2_EPOCHS[self.method], **_PRESET_DEFAULTS[self.preset]}
+        for key, value in defaults.items():
+            if out[key] is None:  # only unset fields; an explicit 0 stays 0
+                out[key] = value
+        if out["stage2_hidden_sizes"] is None:
+            out["stage2_hidden_sizes"] = _METHOD_STAGE2_HIDDEN.get(self.method, out["hidden_sizes"])
+        for key in ("hidden_sizes", "stage2_hidden_sizes"):
+            out[key] = list(out[key])
         out["sub_seeds"] = {name: derive_seed(self.seed, name) for name in _SEED_SLOTS}
         return out
 
@@ -167,19 +161,15 @@ def build_problem(config: ExperimentConfig) -> problems.ProblemSpec:
     return problems.make_preset(config.preset)
 
 
-def _net_config(config: ExperimentConfig, problem, resolved) -> nets.MLPConfig:
-    return nets.MLPConfig(
+def _stage1_configs(config: ExperimentConfig, problem) -> tuple[nets.MLPConfig, stage1.TrainConfig]:
+    resolved = config.resolved()
+    net_config = nets.MLPConfig(
         input_dim=problem.input_dim,
         output_dim=problem.n_outputs,
         hidden_sizes=tuple(resolved["hidden_sizes"]),
         activation=config.activation,
         seed=derive_seed(config.seed, "stage1_init"),
     )
-
-
-def _stage1_configs(config: ExperimentConfig, problem) -> tuple[nets.MLPConfig, stage1.TrainConfig]:
-    resolved = config.resolved()
-    net_config = _net_config(config, problem, resolved)
     train_config = stage1.TrainConfig(
         n_collocation=resolved["n_collocation"],
         sampler=config.sampler,
@@ -211,55 +201,51 @@ def stage1_digest(config: ExperimentConfig, problem=None) -> str:
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
+def _stage2_settings(config: ExperimentConfig, problem):
+    """Likelihood, prior, optimizer and head network of the stage-two fit;
+    building them checks every stage-two setting, before any compute."""
+    resolved = config.resolved()
+    check_lambda(config.der_lambda)
+    opt = OptConfig(resolved["epochs_stage2"], config.lr_stage2,
+                    seed=derive_seed(config.seed, "stage2_opt"))
+    head_config = nets.MLPConfig(
+        input_dim=problem.input_dim,
+        output_dim=(4 if config.method == "der" else 1) * problem.n_outputs,
+        hidden_sizes=tuple(resolved["stage2_hidden_sizes"]),
+        activation=resolved["stage2_activation"],
+        seed=derive_seed(config.seed, "stage2_init"),
+    )
+    return LikelihoodSpec(config.eps), GaussianPrior(config.prior_std), opt, head_config
+
+
 def run_method(config: ExperimentConfig, result: stage1.Stage1Result) -> PredictiveBand:
     """Fit the configured stage-two method and return the enforced band on
     the extrapolation evaluation grid."""
-    resolved = config.resolved()
     problem = result.problem
     dataset = (result.dataset_points, result.dataset_values)
-    grid = problems.grid_points(problem.extrap_domain, resolved["eval_grid"])
-    like = LikelihoodSpec(config.eps)
-    prior = GaussianPrior(config.prior_std)
-    opt = OptConfig(
-        epochs=resolved["epochs_stage2"],
-        learning_rate=config.lr_stage2,
-        seed=derive_seed(config.seed, "stage2_opt"),
-    )
-    def head(out_dim):
-        cfg = nets.MLPConfig(
-            input_dim=problem.input_dim,
-            output_dim=out_dim,
-            hidden_sizes=tuple(resolved["stage2_hidden_sizes"]),
-            activation=resolved["stage2_activation"],
-            seed=derive_seed(config.seed, "stage2_init"),
-        )
-        # rbf heads tile the full domain of interest so posterior weight
-        # uncertainty survives wherever the data cannot constrain it
-        init_mu = (
-            nets.rbf_feature_init(cfg, problem.extrap_domain).flat()
-            if cfg.activation == "rbf" else None
-        )
-        return cfg, init_mu
+    grid = problems.grid_points(problem.extrap_domain, config.resolved()["eval_grid"])
+    like, prior, opt, head_config = _stage2_settings(config, problem)
+    # rbf heads tile the full domain of interest so posterior weight
+    # uncertainty survives wherever the data cannot constrain it
+    init_mu = (nets.rbf_feature_init(head_config, problem.extrap_domain).flat()
+               if head_config.activation == "rbf" else None)
 
     if config.method in ("bbb", "flipout"):
         train = bbb_train if config.method == "bbb" else flipout_train
-        head_config, init_mu = head(problem.n_outputs)
         q = train(dataset, head_config, like, prior, opt, problem=problem, init_mu=init_mu)
         raw = posterior_predictive_mc(
             q, head_config, grid, config.n_mc_samples,
             seed=derive_seed(config.seed, "mc_samples"),
         )
     elif config.method == "nlm":
-        head_config, init_mu = head(problem.n_outputs)
         posts = nlm_fit_dataset(
             dataset, head_config, config.eps, config.prior_std, opt,
             problem=problem, init_params=init_mu,
         )
         raw = nlm_band(posts, grid)
     else:  # der
-        der_config, init_mu = head(4 * problem.n_outputs)
         params = der_train(
-            dataset, der_config, config.der_lambda, opt,
+            dataset, head_config, config.der_lambda, opt,
             problem=problem, init_params=init_mu, like=like,
         )
         raw = der_band(der_evaluate(params, grid, like), grid)
@@ -291,6 +277,7 @@ def run(config: ExperimentConfig) -> RunArtifacts:
     """Full pipeline; reuses a cached stage-1 file when its settings digest
     equals this config's. Artifacts: band CSV, stage-1 JSON, report JSON, config echo."""
     problem = build_problem(config)
+    _stage2_settings(config, problem)  # a bad stage-2 setting fails before stage 1
     path = stage1_path(config)
     result = None
     if config.reuse_stage1 and path.exists():

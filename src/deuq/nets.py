@@ -6,10 +6,12 @@ head. Parameters flatten to a single vector in a canonical order
 (layer-major, weights before biases, row-major within each weight matrix),
 which every gradient-based routine in the package relies on.
 
-Derivatives of the network with respect to its inputs come from
-``JetKernel``, a fused Taylor-mode forward pass with a hand-derived
-backward pass; value-only passes (``values_batch``) run on arrays or on
-the reverse-mode tape.
+Stage 1 and the nlm and der heads train on ``JetKernel``, a fused
+Taylor-mode pass with a hand-derived backward (the heads seed no input
+direction, so theirs carries values only); ``hidden`` and ``evaluate`` are
+the plain value pass on fixed weights. Only bbb and flipout still record
+their network on the tape (``split_flat_var``): flipout with all signs +1
+must reproduce bbb's loss bit for bit, so the two share one arithmetic.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .autodiff import Jet2, Var, exp, sin, softplus, tanh
+from .autodiff import Var, exp, sin, softplus, tanh
 from .errors import ConfigError, StructuralError
 
 
@@ -358,42 +360,18 @@ class JetKernel:
         return Var(out, (flat,), vjp)
 
 
-def forward(params: MLPParams, inputs: Sequence[Jet2]) -> list[Jet2]:
-    """Evaluate on one point given as a seeded jet per input coordinate
-    (d2 = 0; the d1 components form the direction)."""
-    if len(inputs) != params.config.input_dim:
-        raise StructuralError(
-            f"expected {params.config.input_dim} input jets, got {len(inputs)}"
-        )
-    if any(float(j.d2) != 0.0 for j in inputs):
-        raise StructuralError("input jets must be seeded (d2 = 0)")
-    kernel = JetKernel(
-        params.config,
-        [[float(j.value) for j in inputs]],
-        [[float(j.d1) for j in inputs]],
-        (2,),
-    )
-    out = kernel.forward(params.flat())
-    return [Jet2(float(out[0, 0, k]), float(out[1, 0, k]), float(out[2, 0, k]))
-            for k in range(params.config.output_dim)]
-
-
-def values_batch(config: MLPConfig, weights: Sequence, biases: Sequence, x) -> np.ndarray:
-    """Plain value-only forward pass on points of shape (n, input_dim)."""
-    act = _ACTIVATIONS[config.activation]
-    h = np.asarray(x, dtype=float) if not isinstance(x, Var) else x
-    last = len(weights) - 1
-    for i, (W, b) in enumerate(zip(weights, biases)):
-        h = h @ W.T + b
-        if i != last:
-            h = act(h)
+def hidden(params: MLPParams, points: np.ndarray) -> np.ndarray:
+    """Last hidden activations on (n, input_dim) points; returns (n, width)."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.shape[1] != params.config.input_dim:
+        raise StructuralError("point dimension does not match input_dim")
+    act = _ACTIVATIONS[params.config.activation]
+    h = points
+    for W, b in zip(params.weights[:-1], params.biases[:-1]):
+        h = act(h @ W.T + b)
     return h
 
 
 def evaluate(params: MLPParams, points: np.ndarray) -> np.ndarray:
     """Network values on (n, input_dim) points; returns (n, output_dim)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != params.config.input_dim:
-        raise StructuralError("point dimension does not match input_dim")
-    return values_batch(params.config, params.weights, params.biases, points)
-
+    return hidden(params, points) @ params.weights[-1].T + params.biases[-1]

@@ -46,6 +46,8 @@ class TrainConfig:
             raise ConfigError("only the adam optimizer is supported")
         if self.tolerance < 0.0:
             raise ConfigError("tolerance must be nonnegative")
+        if self.dataset_grid is not None and self.dataset_grid < 2:
+            raise ConfigError("dataset_grid must be at least 2 points per dimension")
 
 
 @dataclass
@@ -143,7 +145,9 @@ def train_deterministic(problem: problems.ProblemSpec, net_config: nets.MLPConfi
         params=lambda x: nets.MLPParams.from_flat(net_config, x),
     )
     final = nets.MLPParams.from_flat(net_config, flat)
-    grid_n = train_config.dataset_grid or (128 if problem.input_dim == 1 else 48)
+    grid_n = train_config.dataset_grid
+    if grid_n is None:
+        grid_n = 128 if problem.input_dim == 1 else 48
     grid = problems.grid_points(problem.train_domain, grid_n)
     values = evaluate_enforced(problem, final, grid)
     return Stage1Result(problem, final, history, grid, values)

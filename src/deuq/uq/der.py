@@ -57,11 +57,15 @@ def der_head(raw) -> EvidentialOutput:
     )
 
 
+def check_lambda(lam: float) -> None:
+    if lam < 0.0:
+        raise ConfigError("regularizer weight must be nonnegative")
+
+
 def der_loss(out: EvidentialOutput, target, lam: float = 0.0):
     """Negative log marginal likelihood of the NIG evidence plus the
     evidence regularizer lam * |target - gamma| * (2 nu + alpha)."""
-    if lam < 0.0:
-        raise ConfigError("regularizer weight must be nonnegative")
+    check_lambda(lam)
     err = target - out.gamma
     two_beta_l = 2.0 * out.beta * (1.0 + out.nu)
     nll = (
@@ -121,11 +125,11 @@ def der_train(dataset, net_config: nets.MLPConfig, lam: float,
     if any(idx.size == 0 for idx in keep):
         raise ConfigError("every dataset point sits on a condition surface")
     x0 = np.array(init_params, dtype=float) if init_params is not None else nets.init(net_config).flat()
+    kernel = nets.JetKernel(net_config, X, np.zeros((0, X.shape[1])), ())  # values only
 
     def loss_and_grad(flat):
         leaf = Var(flat)
-        Ws, bs = nets.split_flat_var(net_config, leaf)
-        raw = nets.values_batch(net_config, Ws, bs, X)
+        raw = kernel.apply(leaf)[0]
         loss = None
         for k in range(n_outputs):
             idx = keep[k]

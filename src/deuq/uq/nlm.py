@@ -31,8 +31,6 @@ class NLMPosterior:
     feature_params: nets.MLPParams | None
     posterior_mean: np.ndarray
     posterior_cov: np.ndarray
-    eps: float
-    prior_std: float
 
 
 def nlm_fit(features: np.ndarray, targets: np.ndarray, eps: float,
@@ -54,16 +52,12 @@ def nlm_fit(features: np.ndarray, targets: np.ndarray, eps: float,
     cov = np.linalg.inv(precision)
     cov = (cov + cov.T) / 2.0
     mean = cov @ (features.T @ targets) / eps**2
-    return NLMPosterior(None, mean, cov, eps, prior_std)
+    return NLMPosterior(None, mean, cov)
 
 
 def feature_map(params: nets.MLPParams, points: np.ndarray) -> np.ndarray:
     """Last hidden activations of the extractor plus a constant-1 column."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    act = nets._ACTIVATIONS[params.config.activation]
-    h = points
-    for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = act(h @ W.T + b)
+    h = nets.hidden(params, points)
     return np.hstack([h, np.ones((h.shape[0], 1))])
 
 
@@ -78,11 +72,11 @@ def train_feature_net(dataset, net_config: nets.MLPConfig, opt_config: OptConfig
     X, Y = dataset_arrays(dataset)
     A, B = enforced_head_values(problem, X, net_config.output_dim)
     x0 = np.array(init_params, dtype=float) if init_params is not None else nets.init(net_config).flat()
+    kernel = nets.JetKernel(net_config, X, np.zeros((0, X.shape[1])), ())  # values only
 
     def loss_and_grad(flat):
         leaf = Var(flat)
-        Ws, bs = nets.split_flat_var(net_config, leaf)
-        out = nets.values_batch(net_config, Ws, bs, X)
+        out = kernel.apply(leaf)[0]
         loss = ((A + B * out - Y) ** 2).mean()
         return float(loss.data), lambda: grad_params(loss, [leaf])
 

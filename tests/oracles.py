@@ -3,7 +3,10 @@
 The stage-1 network once ran as generic jet arithmetic over the reverse-mode
 tape: every layer a Jet2 of Var nodes, every direction a full second-order
 pass. That path is slow but obviously right, so it is kept here as the
-oracle for the fused jet kernel in `deuq.nets.JetKernel`.
+oracle for the fused jet kernel in `deuq.nets.JetKernel`. Next to it:
+- `values_batch` is the value-only network on arrays or on the tape, the
+  path the nlm and der heads trained on before their value-only kernel;
+- `jet_forward` is the kernel on one point given as seeded input jets.
 
 Two small samplers sit here too, because only tests call them: the
 stage-1 dataset on a chosen grid, and one shared-noise posterior draw.
@@ -58,6 +61,38 @@ def forward_batch(config: nets.MLPConfig, weights: Sequence, biases: Sequence, x
         if i != last:
             h = act(h)
     return h
+
+
+def values_batch(config: nets.MLPConfig, weights: Sequence, biases: Sequence, x) -> np.ndarray:
+    """Plain value-only forward pass on points of shape (n, input_dim)."""
+    act = nets._ACTIVATIONS[config.activation]
+    h = np.asarray(x, dtype=float) if not isinstance(x, Var) else x
+    last = len(weights) - 1
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        h = h @ W.T + b
+        if i != last:
+            h = act(h)
+    return h
+
+
+def jet_forward(params: nets.MLPParams, inputs: Sequence[Jet2]) -> list[Jet2]:
+    """Evaluate on one point given as a seeded jet per input coordinate
+    (d2 = 0; the d1 components form the direction)."""
+    if len(inputs) != params.config.input_dim:
+        raise StructuralError(
+            f"expected {params.config.input_dim} input jets, got {len(inputs)}"
+        )
+    if any(float(j.d2) != 0.0 for j in inputs):
+        raise StructuralError("input jets must be seeded (d2 = 0)")
+    kernel = nets.JetKernel(
+        params.config,
+        [[float(j.value) for j in inputs]],
+        [[float(j.d1) for j in inputs]],
+        (2,),
+    )
+    out = kernel.forward(params.flat())
+    return [Jet2(float(out[0, 0, k]), float(out[1, 0, k]), float(out[2, 0, k]))
+            for k in range(params.config.output_dim)]
 
 
 def tape_residual_loss(problem: problems.ProblemSpec, config: nets.MLPConfig,

@@ -274,6 +274,46 @@ def test_cli_run_rejects_nonpositive_coverage_k_before_any_compute(tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--eps", "-1"),
+    ("--prior-std", "0"),
+    ("--lr-stage2", "0"),
+    ("--epochs-stage2", "-1"),
+    ("--der-lambda", "-1"),
+    ("--stage2-activation", "relu"),
+    ("--stage2-hidden-sizes", "8,8,8,8"),
+])
+def test_cli_run_rejects_bad_stage2_settings_before_stage1(tmp_path, capsys, flag, value):
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "linear_ode", "--method", "nlm", "--out", str(out),
+                 "--epochs-stage1", "300", "--n-collocation", "16", flag, value]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("coverage_k", "2"), ("epochs_stage1", "30")])
+def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, value):
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({
+        "preset": "linear_ode", "method": "nlm", **FAST, key: value,
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["run", "--config", str(config_file)]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_explicit_zero_settings_are_taken_as_given(tmp_path):
+    resolved = _cfg(tmp_path, epochs_stage1=0, epochs_stage2=0).resolved()
+    assert resolved["epochs_stage1"] == 0 and resolved["epochs_stage2"] == 0
+    with pytest.raises(ConfigError):
+        experiment.ExperimentConfig(eval_grid=0)
+    for field, value in (("lr_stage1", 0), ("dataset_grid", 1)):
+        with pytest.raises(ConfigError):
+            experiment.run(_cfg(tmp_path / field, **{field: value}))
+        assert not (tmp_path / field).exists()
+
+
 @pytest.mark.parametrize("k", ["0", "-1"])
 def test_cli_report_rejects_nonpositive_coverage_k(tmp_path, capsys, k):
     grid = np.linspace(0.0, 3.0, 7).reshape(-1, 1)

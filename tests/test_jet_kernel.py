@@ -6,7 +6,7 @@ import pytest
 from deuq import nets, problems, stage1
 from deuq.autodiff import Jet2, Var, exp, grad_params, tanh
 from deuq.errors import StructuralError
-from oracles import tape_residual_loss
+from oracles import jet_forward, tape_residual_loss, values_batch
 
 ACTIVATIONS = ("tanh", "sin", "softplus", "rbf")
 
@@ -42,6 +42,31 @@ def test_kernel_matches_tape_oracle(preset, activation, depth):
     ref_grad = grad_params(ref, [leaf])
     assert abs(loss - float(ref.data)) <= 1e-12 * abs(float(ref.data))
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+@pytest.mark.parametrize("output_dim", [1, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_value_only_kernel_matches_tape_values(activation, depth, output_dim):
+    # the kernel the nlm and der heads train on seeds no direction
+    cfg = nets.MLPConfig(2, output_dim, (6, 5, 7)[:depth], activation=activation, seed=depth)
+    rng = np.random.default_rng(10 * depth + output_dim)
+    points = rng.uniform(-1.0, 1.0, size=(23, 2))
+    target = rng.normal(size=(23, output_dim))
+    flat = nets.init(cfg).flat() + rng.normal(0.0, 0.3, cfg.n_params)
+    kernel = nets.JetKernel(cfg, points, np.zeros((0, 2)), ())
+
+    leaf = Var(flat)
+    loss = ((kernel.apply(leaf)[0] - target) ** 2).mean()
+    grad = grad_params(loss, [leaf])
+    ref_leaf = Var(flat)
+    Ws, bs = nets.split_flat_var(cfg, ref_leaf)
+    ref = ((values_batch(cfg, Ws, bs, points) - target) ** 2).mean()
+    ref_grad = grad_params(ref, [ref_leaf])
+    assert float(loss.data) == float(ref.data)
+    assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+    params = nets.MLPParams.from_flat(cfg, flat)
+    np.testing.assert_array_equal(kernel.forward(flat)[0], nets.evaluate(params, points))
 
 
 @pytest.mark.parametrize("preset", problems.preset_names())
@@ -111,7 +136,7 @@ def test_forward_along_a_diagonal_direction(activation):
     def f(s):
         return nets.evaluate(params, (p + s)[None, :])[0, 0]
 
-    out = nets.forward(params, [Jet2(0.2, 1.0, 0.0), Jet2(-0.1, 1.0, 0.0)])[0]
+    out = jet_forward(params, [Jet2(0.2, 1.0, 0.0), Jet2(-0.1, 1.0, 0.0)])[0]
     assert out.value == pytest.approx(f(0.0), abs=1e-15)
     assert out.d1 == pytest.approx((f(h) - f(-h)) / (2 * h), rel=1e-6, abs=1e-9)
     assert out.d2 == pytest.approx((f(h) - 2 * f(0.0) + f(-h)) / h**2, rel=1e-4, abs=1e-6)
