@@ -10,9 +10,13 @@ and the wall time of each pair's `experiment.run` call as `wall_s` (it
 includes the stage-1 solve only where the pair did not reuse a cached one).
 
 With `--compare OLD_SUMMARY.json` the script prints nothing but the pairs
-whose band or report sha256 differs from that summary (one line each,
-naming the digests that differ) and exits 1 if there is any: the byte check
-of a change against its parent at one seed.
+whose band or report sha256 differs from that summary and exits 1 if there
+is any: the byte check of a change against its parent at one seed. Each
+such pair gets a line naming the digests that differ, then how far the
+files moved, read against the band CSV and report of the same name next
+to the old summary: the largest |Δ| in each value column of the band
+(mean, std, reference) and the relative change of each numeric report
+field.
 """
 
 import argparse
@@ -22,7 +26,30 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from deuq import experiment
+
+
+def _band_columns(path: Path) -> dict:
+    header = path.read_text().split("\n", 1)[0].split(",")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    return {name: data[:, j] for j, name in enumerate(header)
+            if name.split("_")[0] in ("mean", "std", "reference")}
+
+
+def _changes(old_dir: Path, band_csv: Path, report_json: Path) -> list[str]:
+    """How far a pair's band and report moved from the old files of the same name."""
+    old_band, old_report = old_dir / band_csv.name, old_dir / report_json.name
+    if not (old_band.exists() and old_report.exists()):
+        return [f"  no {old_band.name} or {old_report.name} in {old_dir}"]
+    old, new = _band_columns(old_band), _band_columns(band_csv)
+    band = " ".join(f"{name}={np.max(np.abs(new[name] - old[name])):.2e}" for name in new)
+    old, new = json.loads(old_report.read_text()), json.loads(report_json.read_text())
+    report = " ".join(
+        f"{key}={abs(new[key] - old[key]) / abs(old[key]) if old[key] else abs(new[key]):.2e}"
+        for key in sorted(new) if isinstance(new[key], float))
+    return [f"  band max |Δ|: {band}", f"  report relative Δ: {report}"]
 
 
 def main() -> None:
@@ -37,7 +64,7 @@ def main() -> None:
     args = parser.parse_args()
     old = json.loads(args.compare.read_text()) if args.compare else None
 
-    rows = []
+    rows, files = [], {}
     for preset in args.presets:
         for method in args.methods:
             config = experiment.ExperimentConfig(
@@ -50,6 +77,7 @@ def main() -> None:
             digests = {f"{kind}_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()
                        for kind, path in (("band", paths.band_csv), ("report", paths.report_json))}
             rows.append((preset, method, {**report, **digests, "wall_s": wall_s}))
+            files[f"{preset}/{method}"] = (paths.band_csv, paths.report_json)
             if old is not None:
                 continue
             print(
@@ -75,6 +103,7 @@ def main() -> None:
         if kinds:
             differ = True
             print(f"{pair}: {', '.join(kinds)} sha256 differs", flush=True)
+            print("\n".join(_changes(args.compare.parent, *files[pair])), flush=True)
     sys.exit(1 if differ else 0)
 
 

@@ -6,12 +6,11 @@ head. Parameters flatten to a single vector in a canonical order
 (layer-major, weights before biases, row-major within each weight matrix),
 which every gradient-based routine in the package relies on.
 
-Stage 1 and the nlm and der heads train on ``JetKernel``, a fused
-Taylor-mode pass with a hand-derived backward (the heads seed no input
-direction, so theirs carries values only); ``hidden`` and ``evaluate`` are
-the plain value pass on fixed weights. Only bbb and flipout still record
-their network on the tape (``split_flat_var``): flipout with all signs +1
-must reproduce bbb's loss bit for bit, so the two share one arithmetic.
+Every fit trains on ``JetKernel``, a fused Taylor-mode pass with a
+hand-derived backward; the stage-two heads seed no input direction, so
+theirs carries values only, and it holds flipout's rank-one sign-flip
+term too. No fit records a network on the tape. ``hidden`` and
+``evaluate`` are the plain value pass on fixed weights.
 """
 
 from __future__ import annotations
@@ -143,18 +142,6 @@ def rbf_feature_init(config: MLPConfig, domain) -> MLPParams:
     return params
 
 
-def split_flat_var(config: MLPConfig, flat: Var) -> tuple[list, list]:
-    """Slice a flat parameter Var into per-layer (out, in) weight and (out,)
-    bias views, preserving the canonical ordering."""
-    weights, biases, off = [], [], 0
-    for out, inn in config.layer_shapes():
-        weights.append(flat[off : off + out * inn].reshape((out, inn)))
-        off += out * inn
-        biases.append(flat[off : off + out])
-        off += out
-    return weights, biases
-
-
 def _tanh_derivatives(z, h, d1, d2, d3):
     np.tanh(z, out=h)
     np.multiply(h, h, out=d1)
@@ -221,6 +208,18 @@ def _dense(prev: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray) -> N
     out[0] += b
 
 
+def _flip_dense(h, W, b, z, dW, db, r, s, hs, t) -> None:
+    # z = ((h o s) dW^T) o r + h W^T + b + db o r, summed in this order;
+    # hs keeps h o s for the backward pass, and r = s = None means all ones
+    np.matmul(h if s is None else np.multiply(h, s, out=hs), dW.T, out=t)
+    if r is not None:
+        t *= r
+    np.matmul(h, W.T, out=z)
+    z += t
+    z += b
+    z += db if r is None else np.multiply(db, r, out=t)
+
+
 class JetKernel:
     """Fused Taylor-mode pass of one network over a fixed batch of points.
 
@@ -234,8 +233,13 @@ class JetKernel:
     derivatives; internally the directions of order 2 come first.
     ``stream`` maps a (direction, order) pair to its index.
 
-    Every buffer is allocated here, once, and overwritten in place by each
-    ``forward``; ``backward`` reads what the latest ``forward`` stored.
+    A value-only kernel also takes a flat weight perturbation Δ and, for
+    flipout, signs (R, S), one row of ±1 per point over every layer's output
+    units (r) and input units (s): each pre-activation gains
+    ((h ∘ s) ΔWᵀ + Δb) ∘ r (Wen et al. 2018), with r = s = 1 without signs.
+    Every buffer is allocated once, the perturbation's on first use, and
+    overwritten in place by each ``forward``; ``backward`` reads what the
+    latest ``forward`` stored, and Δ and the signs as they were passed.
     """
 
     def __init__(self, config: MLPConfig, points: np.ndarray,
@@ -269,6 +273,7 @@ class JetKernel:
         self._out = np.empty((S, n, config.output_dim))
         self._params = np.empty(config.n_params)
         self._grad = np.empty(config.n_params)
+        self._dgrad = self._flip = None
         self._generation = 0
 
     def stream(self, direction: int, order: int) -> int:
@@ -284,17 +289,44 @@ class JetKernel:
                 return 1 + self._m + j
         raise StructuralError(f"order {order} is not carried along direction {direction}")
 
-    def forward(self, flat: np.ndarray) -> np.ndarray:
+    def _perturbation(self, delta, signs) -> list | None:
+        """Per layer: Δ's weight and bias views, signs r and s, two scratch buffers."""
+        if delta is None or self._x.shape[0] != 1:
+            if delta is None and signs is None:
+                return None
+            raise StructuralError("only a value-only kernel takes a perturbation and signs")
+        n, shapes = self._x.shape[1], self.config.layer_shapes()
+        if self._dgrad is None:
+            self._dgrad = np.empty(self.config.n_params)
+            self._hs = [np.empty((n, i)) for _, i in shapes]
+            self._t = [np.empty((n, o)) for o, _ in shapes]
+        d = MLPParams.from_flat(self.config, delta)
+        cols = np.cumsum([(0, 0)] + shapes, axis=0)  # row k: where layer k's (r, s) columns start
+        layers = []
+        for k, (dW, db, hs, t) in enumerate(zip(d.weights, d.biases, self._hs, self._t)):
+            r, s = (None, None) if signs is None else (
+                a[:, lo:hi] for a, lo, hi in zip(signs, cols[k], cols[k + 1]))
+            layers.append((dW, db, r, s, hs, t))
+        return layers
+
+    def forward(self, flat: np.ndarray, delta: np.ndarray | None = None,
+                signs: tuple | None = None) -> np.ndarray:
         """Output streams for a flat parameter vector, shape (S, n, output_dim)."""
         self._generation += 1
         m, q = self._m, self._q
         self._params[...] = flat
         params = MLPParams.from_flat(self.config, self._params)
-        layers = list(zip(params.weights, params.biases))
+        self._flip, self._signs = self._perturbation(delta, signs), signs
+        outs = self._z + [self._out]
         prev = self._x
-        for i, (W, b) in enumerate(layers[:-1]):
+        for i, (W, b) in enumerate(zip(params.weights, params.biases)):
+            if self._flip is None:
+                _dense(prev, W, b, outs[i])
+            else:
+                _flip_dense(prev[0], W, b, outs[i][0], *self._flip[i])
+            if i == len(self._z):
+                break
             z, h, d = self._z[i], self._h[i], self._d[i]
-            _dense(prev, W, b, z)
             self._act(z[0], h[0], d[0], d[1], d[2] if q else None)
             np.multiply(z[1 : 1 + m], d[0], out=h[1 : 1 + m])
             if q:
@@ -304,26 +336,37 @@ class JetKernel:
                 np.multiply(z[1 + m :], d[0], out=tmp)
                 h[1 + m :] += tmp
             prev = h
-        _dense(prev, *layers[-1], self._out)
         return self._out.copy()
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        """Flat parameter gradient, given the cotangent of the output
-        streams of the latest ``forward``."""
+    def backward(self, g: np.ndarray) -> tuple:
+        """Flat gradients to the parameters and (after a perturbed pass) to Δ,
+        given the cotangent of the output streams of the latest ``forward``."""
         m, q = self._m, self._q
         weights = MLPParams.from_flat(self.config, self._params).weights
         grads = MLPParams.from_flat(self.config, self._grad)  # views into _grad
+        dgrads = MLPParams.from_flat(self.config, self._dgrad) if self._flip else None
         g = np.ascontiguousarray(g, dtype=float)
         for i in range(len(weights) - 1, -1, -1):
             prev = self._h[i - 1] if i else self._x
             rows = prev.shape[0] * prev.shape[1]
             np.matmul(g.reshape(rows, -1).T, prev.reshape(rows, -1), out=grads.weights[i])
             np.sum(g[0], axis=0, out=grads.biases[i])
+            if self._flip is not None:
+                dW, _, r, s, hs, gr = self._flip[i]
+                gr = g[0] if r is None else np.multiply(g[0], r, out=gr)
+                if r is not None:  # without signs, Δ's gradient is μ's
+                    np.matmul(gr.T, hs, out=dgrads.weights[i])
+                    np.sum(gr, axis=0, out=dgrads.biases[i])
             if i == 0:
                 break
             k = i - 1
             G, z, d, tmp, acc = self._g[k], self._z[k], self._d[k], self._tmp[k], self._acc[k]
             np.matmul(g.reshape(rows, -1), weights[i], out=G.reshape(rows, -1))
+            if self._flip is not None:
+                np.matmul(gr, dW, out=acc)
+                if s is not None:
+                    acc *= s
+                G[0] += acc
             # G holds the cotangent of layer k's activations; turn it into
             # that of its pre-activations in place. The value stream reads
             # every other stream's cotangent, so it goes first.
@@ -345,19 +388,22 @@ class JetKernel:
                 G[1 : 1 + q] += tmp[:q]
                 G[1 + m :] *= d[0]
             g = G
-        return self._grad.copy()
+        if self._flip is None:
+            return (self._grad.copy(),)
+        return self._grad.copy(), (self._grad if self._signs is None else self._dgrad).copy()
 
-    def apply(self, flat: Var) -> Var:
-        """The kernel as one node of the reverse-mode record."""
-        out = self.forward(flat.data)
+    def apply(self, flat: Var, delta: Var | None = None, signs: tuple | None = None) -> Var:
+        """The kernel as one node of the reverse-mode record, on the
+        parameter leaf and the perturbation's node, if given."""
+        out = self.forward(flat.data, None if delta is None else delta.data, signs)
         generation = self._generation
 
         def vjp(g):
             if generation != self._generation:
                 raise StructuralError("the jet kernel ran forward again before this backward pass")
-            return (self.backward(g),)
+            return self.backward(g)
 
-        return Var(out, (flat,), vjp)
+        return Var(out, (flat,) if delta is None else (flat, delta), vjp)
 
 
 def hidden(params: MLPParams, points: np.ndarray) -> np.ndarray:

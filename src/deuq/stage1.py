@@ -38,13 +38,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.n_collocation < 2:
             raise ConfigError("n_collocation must be at least 2")
-        if self.learning_rate <= 0.0:
+        if not self.epochs >= 0:
+            raise ConfigError("epochs must be nonnegative")
+        if not self.learning_rate > 0.0:
             raise ConfigError("learning_rate must be positive")
         if self.sampler not in _SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}; valid: {_SAMPLERS}")
         if self.optimizer != "adam":
             raise ConfigError("only the adam optimizer is supported")
-        if self.tolerance < 0.0:
+        if not self.tolerance >= 0.0:
             raise ConfigError("tolerance must be nonnegative")
         if self.dataset_grid is not None and self.dataset_grid < 2:
             raise ConfigError("dataset_grid must be at least 2 points per dimension")

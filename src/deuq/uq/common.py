@@ -18,35 +18,19 @@ class LikelihoodSpec:
     eps: float = 1e-2
 
     def __post_init__(self):
-        if self.eps <= 0.0:
+        if not self.eps > 0.0:
             raise ConfigError("likelihood eps must be positive")
 
 
 @dataclass(frozen=True)
 class GaussianPrior:
-    """Zero-mean Gaussian weight prior; std may be one scalar or one scalar
-    per layer."""
+    """Zero-mean Gaussian prior with one std for every weight."""
 
-    std: float | tuple = 1.0
+    std: float = 1.0
 
     def __post_init__(self):
-        stds = self.std if isinstance(self.std, (tuple, list)) else (self.std,)
-        if any(s <= 0.0 for s in stds):
+        if not self.std > 0.0:
             raise ConfigError("prior std must be positive")
-        if isinstance(self.std, list):
-            object.__setattr__(self, "std", tuple(self.std))
-
-    def per_param(self, config) -> np.ndarray:
-        """Expand to one std per flat parameter in canonical order."""
-        shapes = config.layer_shapes()
-        if isinstance(self.std, tuple):
-            if len(self.std) != len(shapes):
-                raise ConfigError("per-layer prior needs one std per layer")
-            stds = self.std
-        else:
-            stds = (self.std,) * len(shapes)
-        pieces = [np.full(o * i + o, s) for (o, i), s in zip(shapes, stds)]
-        return np.concatenate(pieces)
 
 
 @dataclass(frozen=True)
@@ -58,22 +42,15 @@ class OptConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 0:
+        if not self.epochs >= 0:
             raise ConfigError("epochs must be nonnegative")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:
             raise ConfigError("learning_rate must be positive")
 
 
 def dataset_arrays(dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Normalize a dataset (list of (point, values) or an (X, Y) pair) to
-    float arrays of shapes (n, d) and (n, k)."""
-    if isinstance(dataset, tuple) and len(dataset) == 2:
-        X, Y = dataset
-    else:
-        if len(dataset) == 0:
-            raise ConfigError("dataset must not be empty")
-        X = [p for p, _ in dataset]
-        Y = [v for _, v in dataset]
+    """Normalize an (X, Y) pair to float arrays of shapes (n, d) and (n, k)."""
+    X, Y = dataset
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.asarray(Y, dtype=float)
     if Y.ndim == 1:

@@ -58,7 +58,7 @@ def der_head(raw) -> EvidentialOutput:
 
 
 def check_lambda(lam: float) -> None:
-    if lam < 0.0:
+    if not lam >= 0.0:
         raise ConfigError("regularizer weight must be nonnegative")
 
 

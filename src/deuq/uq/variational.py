@@ -3,13 +3,14 @@
 Two estimators share one training loop: the plain shared-perturbation
 scheme (every point in the batch sees the same sampled weights) and the
 decorrelated scheme that flips the shared perturbation per point with
-rank-one sign matrices. The forward pass always uses the decomposed form
+rank-one sign matrices. Both run on the value-only ``nets.JetKernel``,
+whose layers take Δ = sigma o eps in the decomposed form
 
-    y = h @ mu_W^T + ((h o S) @ (sigma o eps)_W^T) o R + mu_b + (sigma o eps)_b o R
+    y = h @ mu_W^T + ((h o S) @ Δ_W^T) o R + mu_b + Δ_b o R
 
 so forcing all signs to +1 reproduces the shared scheme arithmetic exactly,
-floating point included. Sign draws come from an RNG stream separate from
-the base-perturbation stream for the same reason.
+floating point included; only the likelihood and the KL are on the tape.
+Sign draws come from their own RNG stream for the same reason.
 """
 
 from __future__ import annotations
@@ -66,35 +67,18 @@ def sign_dims(config: nets.MLPConfig) -> tuple[int, int]:
     return sum(o for o, _ in shapes), sum(i for _, i in shapes)
 
 
-def _decomposed_forward(config, mu_Ws, mu_bs, d_Ws, d_bs, X, R, S, r_offsets, s_offsets):
-    """Batch forward with per-example rank-one sign flips (see module doc)."""
-    act = nets._ACTIVATIONS[config.activation]
-    h = X
-    last = len(mu_Ws) - 1
-    for i, (mW, mb, dW, db) in enumerate(zip(mu_Ws, mu_bs, d_Ws, d_bs)):
-        o, inn = config.layer_shapes()[i]
-        Rl = R[:, r_offsets[i] : r_offsets[i] + o]
-        Sl = S[:, s_offsets[i] : s_offsets[i] + inn]
-        h = (h * Sl) @ dW.T * Rl + h @ mW.T + mb + db * Rl
-        if i != last:
-            h = act(h)
-    return h
-
-
-def _variational_train(dataset, net_config, like, prior, opt_config, *,
-                       decorrelate: bool, unit_signs: bool = False,
+def _variational_train(dataset, net_config, like, prior, opt_config, signs: str | None,
                        problem=None, init_mu=None) -> VariationalParams:
+    # signs: None (bbb), "random" (flipout) or "unit" (flipout, all +1)
     X, Y = dataset_arrays(dataset)
     if X.shape[1] != net_config.input_dim or Y.shape[1] != net_config.output_dim:
         raise ConfigError("dataset shapes do not match the network config")
     A, B = enforced_head_values(problem, X, net_config.output_dim)
     n_points = X.shape[0]
     P = net_config.n_params
-    prior_vec = prior.per_param(net_config)
-    shapes = net_config.layer_shapes()
-    r_offsets = np.concatenate([[0], np.cumsum([o for o, _ in shapes])])[:-1]
-    s_offsets = np.concatenate([[0], np.cumsum([i for _, i in shapes])])[:-1]
-    r_total, s_total = sign_dims(net_config)
+    dims = sign_dims(net_config)
+    unit = tuple(np.ones((n_points, k)) for k in dims) if signs == "unit" else None
+    kernel = nets.JetKernel(net_config, X, np.zeros((0, X.shape[1])), ())
 
     mu = np.array(init_mu, dtype=float) if init_mu is not None else nets.init(net_config).flat()
     if mu.size != P:
@@ -107,24 +91,16 @@ def _variational_train(dataset, net_config, like, prior, opt_config, *,
         # one fresh draw per evaluation; fit's evaluation after its last
         # step draws once more, and that draw moves no weight
         eps_hat = noise_rng.standard_normal(P)
-        if decorrelate and not unit_signs:
-            R = sign_rng.integers(0, 2, size=(n_points, r_total)) * 2.0 - 1.0
-            S = sign_rng.integers(0, 2, size=(n_points, s_total)) * 2.0 - 1.0
-        else:
-            R = np.ones((n_points, r_total))
-            S = np.ones((n_points, s_total))
+        flips = unit
+        if signs == "random":  # R, then S
+            flips = tuple(sign_rng.integers(0, 2, size=(n_points, k)) * 2.0 - 1.0 for k in dims)
 
         mu_v, rho_v = Var(packed[:P]), Var(packed[P:])
         sigma_v = softplus(rho_v)
-        delta = sigma_v * eps_hat
-        mu_Ws, mu_bs = nets.split_flat_var(net_config, mu_v)
-        d_Ws, d_bs = nets.split_flat_var(net_config, delta)
-        out = _decomposed_forward(
-            net_config, mu_Ws, mu_bs, d_Ws, d_bs, X, R, S, r_offsets, s_offsets
-        )
+        out = kernel.apply(mu_v, sigma_v * eps_hat, flips)[0]
         pred = A + B * out
         nll = ((pred - Y) ** 2).sum() / (2.0 * like.eps**2) + const_nll
-        kl = (log(prior_vec / sigma_v) + (sigma_v**2 + mu_v**2) / (2.0 * prior_vec**2) - 0.5).sum()
+        kl = (log(prior.std / sigma_v) + (sigma_v**2 + mu_v**2) / (2.0 * prior.std**2) - 0.5).sum()
         loss = kl + nll
         return float(loss.data), lambda: grad_params(loss, [mu_v, rho_v])
 
@@ -141,10 +117,8 @@ def bbb_train(dataset, net_config: nets.MLPConfig, like: LikelihoodSpec,
               problem=None, init_mu=None) -> VariationalParams:
     """Minimize KL(q || prior) - E_q[log likelihood], one fresh weight
     sample per step shared by the whole batch."""
-    return _variational_train(
-        dataset, net_config, like, prior, opt_config,
-        decorrelate=False, problem=problem, init_mu=init_mu,
-    )
+    return _variational_train(dataset, net_config, like, prior, opt_config, None,
+                              problem=problem, init_mu=init_mu)
 
 
 def flipout_train(dataset, net_config: nets.MLPConfig, like: LikelihoodSpec,
@@ -154,7 +128,5 @@ def flipout_train(dataset, net_config: nets.MLPConfig, like: LikelihoodSpec,
     """Same objective as bbb_train with per-example decorrelated
     perturbations; ``unit_signs`` forces all sign matrices to +1 (then the
     loss trace equals bbb_train's exactly under shared seeds)."""
-    return _variational_train(
-        dataset, net_config, like, prior, opt_config,
-        decorrelate=True, unit_signs=unit_signs, problem=problem, init_mu=init_mu,
-    )
+    return _variational_train(dataset, net_config, like, prior, opt_config,
+                              "unit" if unit_signs else "random", problem=problem, init_mu=init_mu)

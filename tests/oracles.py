@@ -4,8 +4,12 @@ The stage-1 network once ran as generic jet arithmetic over the reverse-mode
 tape: every layer a Jet2 of Var nodes, every direction a full second-order
 pass. That path is slow but obviously right, so it is kept here as the
 oracle for the fused jet kernel in `deuq.nets.JetKernel`. Next to it:
+- `split_flat_var` slices a flat parameter Var into per-layer tape views;
 - `values_batch` is the value-only network on arrays or on the tape, the
   path the nlm and der heads trained on before their value-only kernel;
+- `decomposed_forward` is the bbb/flipout network on the tape with
+  per-point rank-one sign flips, the path both trained on before the
+  kernel took the flip term;
 - `jet_forward` is the kernel on one point given as seeded input jets.
 
 Two small samplers sit here too, because only tests call them: the
@@ -21,7 +25,7 @@ The rest are checks the pipeline never runs:
   check jet derivatives and tape gradients against finite differences;
 - `nlm_predict` is the per-point form of `deuq.uq.nlm_band`;
 - `flipout_perturb` materializes the per-example weights that the
-  flipout trainer's decomposed forward pass never builds;
+  kernel's flip term never builds;
 - `kl_gaussian_diag` is the closed-form KL the variational trainer
   records inline on the tape.
 """
@@ -60,6 +64,39 @@ def forward_batch(config: nets.MLPConfig, weights: Sequence, biases: Sequence, x
         h = _affine_jet(h, W, b)
         if i != last:
             h = act(h)
+    return h
+
+
+def split_flat_var(config: nets.MLPConfig, flat: Var) -> tuple[list, list]:
+    """Slice a flat parameter Var into per-layer (out, in) weight and (out,)
+    bias views, preserving the canonical ordering."""
+    weights, biases, off = [], [], 0
+    for out, inn in config.layer_shapes():
+        weights.append(flat[off : off + out * inn].reshape((out, inn)))
+        off += out * inn
+        biases.append(flat[off : off + out])
+        off += out
+    return weights, biases
+
+
+def decomposed_forward(config: nets.MLPConfig, mu_Ws, mu_bs, d_Ws, d_bs, X, R, S):
+    """Batch forward with per-example rank-one sign flips,
+    h @ mu_W^T + ((h o S) @ d_W^T) o R + mu_b + d_b o R per layer, where R
+    and S hold each layer's output-side and input-side signs side by side."""
+    act = nets._ACTIVATIONS[config.activation]
+    h = X
+    last = len(mu_Ws) - 1
+    r_off = s_off = 0
+    for i, ((o, inn), mW, mb, dW, db) in enumerate(
+        zip(config.layer_shapes(), mu_Ws, mu_bs, d_Ws, d_bs)
+    ):
+        Rl = R[:, r_off : r_off + o]
+        Sl = S[:, s_off : s_off + inn]
+        h = (h * Sl) @ dW.T * Rl + h @ mW.T + mb + db * Rl
+        if i != last:
+            h = act(h)
+        r_off += o
+        s_off += inn
     return h
 
 
@@ -292,12 +329,7 @@ def nlm_predict(post: NLMPosterior, point) -> tuple[float, float]:
 def kl_gaussian_diag(q: VariationalParams, prior: GaussianPrior) -> float:
     """Closed-form KL(q || prior) summed over all weights; zero iff equal."""
     sigma = q.sigma
-    if q.config is None:
-        if isinstance(prior.std, tuple):
-            raise ConfigError("per-layer prior requires a network config")
-        s = np.full_like(q.mu, float(prior.std))
-    else:
-        s = prior.per_param(q.config)
+    s = float(prior.std)
     return float(np.sum(np.log(s / sigma) + (sigma**2 + q.mu**2) / (2.0 * s**2) - 0.5))
 
 

@@ -27,7 +27,7 @@ from deuq.uq import (
     posterior_predictive_mc,
 )
 from deuq.uq.variational import VariationalParams
-from oracles import central_diff_1, central_diff_2, finite_diff_check, jet_forward, nlm_predict, seed_input, values_batch
+from oracles import central_diff_1, central_diff_2, finite_diff_check, jet_forward, nlm_predict, seed_input, split_flat_var, values_batch
 
 SEEDS = (0, 1, 2)
 METHODS = ("bbb", "flipout", "nlm", "der")
@@ -112,7 +112,7 @@ def test_criterion_1_differentiation_correctness():
 
         def objective(flat):
             if isinstance(flat, Var):
-                Ws, bs = nets.split_flat_var(cfg, flat)
+                Ws, bs = split_flat_var(cfg, flat)
             else:
                 p = nets.MLPParams.from_flat(cfg, flat)
                 Ws, bs = p.weights, p.biases

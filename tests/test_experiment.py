@@ -291,6 +291,25 @@ def test_cli_run_rejects_bad_stage2_settings_before_stage1(tmp_path, capsys, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--eps", "nan"),
+    ("--prior-std", "nan"),
+    ("--lr-stage1", "nan"),
+    ("--lr-stage2", "nan"),
+    ("--der-lambda", "nan"),
+    ("--tolerance", "nan"),
+    ("--epochs-stage1", "-5"),
+])
+def test_cli_run_rejects_nan_settings_and_negative_stage1_epochs(tmp_path, capsys, flag, value):
+    # NaN fails every comparison, so each rule must ask for the good case
+    out = tmp_path / "out"
+    assert main(["run", "--preset", "linear_ode", "--method", "nlm", "--out", str(out),
+                 "--epochs-stage1", "300", "--epochs-stage2", "200", "--n-collocation", "16",
+                 flag, value]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("coverage_k", "2"), ("epochs_stage1", "30")])
 def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, value):
     config_file = tmp_path / "run.json"

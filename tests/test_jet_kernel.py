@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from deuq import nets, problems, stage1
-from deuq.autodiff import Jet2, Var, exp, grad_params, tanh
+from deuq.autodiff import Jet2, Var, exp, grad_params, softplus, tanh
 from deuq.errors import StructuralError
-from oracles import jet_forward, tape_residual_loss, values_batch
+from deuq.uq import sign_dims
+from oracles import decomposed_forward, jet_forward, split_flat_var, tape_residual_loss, values_batch
 
 ACTIVATIONS = ("tanh", "sin", "softplus", "rbf")
 
@@ -37,7 +38,7 @@ def test_kernel_matches_tape_oracle(preset, activation, depth):
     loss, grad = _kernel_loss_and_grad(problem, kernel, flat)
 
     leaf = Var(flat)
-    Ws, bs = nets.split_flat_var(cfg, leaf)
+    Ws, bs = split_flat_var(cfg, leaf)
     ref = tape_residual_loss(problem, cfg, Ws, bs, points)
     ref_grad = grad_params(ref, [leaf])
     assert abs(loss - float(ref.data)) <= 1e-12 * abs(float(ref.data))
@@ -60,13 +61,69 @@ def test_value_only_kernel_matches_tape_values(activation, depth, output_dim):
     loss = ((kernel.apply(leaf)[0] - target) ** 2).mean()
     grad = grad_params(loss, [leaf])
     ref_leaf = Var(flat)
-    Ws, bs = nets.split_flat_var(cfg, ref_leaf)
+    Ws, bs = split_flat_var(cfg, ref_leaf)
     ref = ((values_batch(cfg, Ws, bs, points) - target) ** 2).mean()
     ref_grad = grad_params(ref, [ref_leaf])
     assert float(loss.data) == float(ref.data)
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
     params = nets.MLPParams.from_flat(cfg, flat)
     np.testing.assert_array_equal(kernel.forward(flat)[0], nets.evaluate(params, points))
+
+
+def _flip_loss_and_grads(cfg, mu, rho, eps_hat, target, forward):
+    # the variational data term on (mu, rho) through one network pass
+    mu_v, rho_v = Var(mu), Var(rho)
+    out = forward(mu_v, softplus(rho_v) * eps_hat)
+    loss = ((out - target) ** 2).mean()
+    return float(loss.data), grad_params(loss, [mu_v, rho_v])
+
+
+@pytest.mark.parametrize("signs", ["random", "unit", "none"])
+@pytest.mark.parametrize("input_dim", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_flip_term_matches_tape_oracle(activation, depth, input_dim, signs):
+    # the bbb/flipout layer of the value-only kernel against the tape
+    cfg = nets.MLPConfig(input_dim, 1, (6, 5, 7)[:depth], activation=activation, seed=depth)
+    rng = np.random.default_rng(10 * depth + input_dim)
+    n, P = 19, cfg.n_params
+    points = rng.uniform(-1.0, 1.0, size=(n, input_dim))
+    target = rng.normal(size=(n, 1))
+    mu = nets.init(cfg).flat() + rng.normal(0.0, 0.3, P)
+    rho = rng.normal(-1.0, 0.5, P)
+    eps_hat = rng.standard_normal(P)
+    R, S = (np.ones((n, k)) for k in sign_dims(cfg))
+    if signs == "random":
+        R, S = (rng.integers(0, 2, size=a.shape) * 2.0 - 1.0 for a in (R, S))
+    kernel = nets.JetKernel(cfg, points, np.zeros((0, input_dim)), ())
+
+    def on_kernel(kernel_signs):
+        return _flip_loss_and_grads(
+            cfg, mu, rho, eps_hat, target,
+            lambda mu_v, delta: kernel.apply(mu_v, delta, kernel_signs)[0])
+
+    def on_tape(mu_v, delta):
+        return decomposed_forward(cfg, *split_flat_var(cfg, mu_v), *split_flat_var(cfg, delta),
+                                  points, R, S)
+
+    loss, grad = on_kernel(None if signs == "none" else (R, S))
+    ref, ref_grad = _flip_loss_and_grads(cfg, mu, rho, eps_hat, target, on_tape)
+    assert abs(loss - ref) <= 1e-12 * abs(ref)
+    for part, ref_part in ((grad[:P], ref_grad[:P]), (grad[P:], ref_grad[P:])):
+        assert np.max(np.abs(part - ref_part)) <= 1e-12 * np.max(np.abs(ref_part))
+    if signs == "unit":  # multiplying by 1.0 is exact: the shared pass, bit for bit
+        unsigned = on_kernel(None)
+        assert loss == unsigned[0]
+        np.testing.assert_array_equal(grad, unsigned[1])
+
+
+def test_flip_term_needs_a_value_only_kernel():
+    problem, cfg, points, flat = _setup("duffing", depth=1)
+    with pytest.raises(StructuralError):
+        stage1.jet_kernel(problem, cfg, points).forward(flat, np.zeros_like(flat))
+    R, S = (np.ones((points.shape[0], k)) for k in sign_dims(cfg))
+    with pytest.raises(StructuralError):
+        nets.JetKernel(cfg, points, np.zeros((0, 1)), ()).forward(flat, None, (R, S))
 
 
 @pytest.mark.parametrize("preset", problems.preset_names())

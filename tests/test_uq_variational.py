@@ -68,13 +68,7 @@ def test_kl_nonnegative(mu, rho, s):
     assert kl_gaussian_diag(q, GaussianPrior(s)) >= -1e-12
 
 
-def test_per_layer_prior_expansion():
-    prior = GaussianPrior((1.0, 3.0))
-    per = prior.per_param(CFG)
-    # layer 1 has 3*1+3 = 6 entries, layer 2 has 1*3+1 = 4
-    np.testing.assert_array_equal(per, [1.0] * 6 + [3.0] * 4)
-    with pytest.raises(ConfigError):
-        GaussianPrior((1.0,)).per_param(CFG)
+def test_prior_std_must_be_positive():
     with pytest.raises(ConfigError):
         GaussianPrior(0.0)
 
@@ -200,19 +194,12 @@ def test_flipout_real_signs_differ_from_bbb():
     assert bbb_train((X, Y), *args).loss_history != flipout_train((X, Y), *args).loss_history
 
 
-def _likelihood_grad(cfg, q, X, Y, eps, R, S, eps_hat):
-    """Gradient of the data term w.r.t. mu for a fixed perturbation draw."""
-    from deuq.nets import split_flat_var
-    from deuq.uq.variational import _decomposed_forward
-
-    shapes = cfg.layer_shapes()
-    r_off = np.concatenate([[0], np.cumsum([o for o, _ in shapes])])[:-1]
-    s_off = np.concatenate([[0], np.cumsum([i for _, i in shapes])])[:-1]
+def _likelihood_grad(cfg, q, X, Y, eps, signs, eps_hat):
+    """Gradient of the data term w.r.t. mu for a fixed perturbation draw,
+    on the kernel the trainers run (no signs: the shared perturbation)."""
     mu_v = Var(q.mu)
     delta = softplus(Var(q.rho)) * eps_hat
-    mu_Ws, mu_bs = split_flat_var(cfg, mu_v)
-    d_Ws, d_bs = split_flat_var(cfg, delta)
-    out = _decomposed_forward(cfg, mu_Ws, mu_bs, d_Ws, d_bs, X, R, S, r_off, s_off)
+    out = nets.JetKernel(cfg, X, np.zeros((0, 1)), ()).apply(mu_v, delta, signs)[0]
     nll = ((out - Y) ** 2).sum() / (2.0 * eps**2)
     return grad_params(nll, [mu_v])
 
@@ -228,11 +215,10 @@ def test_flipout_lowers_gradient_variance():
     shared_grads, flip_grads = [], []
     for _ in range(100):
         eps_hat = rng.standard_normal(cfg.n_params)
-        ones_r, ones_s = np.ones((X.shape[0], r_total)), np.ones((X.shape[0], s_total))
-        shared_grads.append(_likelihood_grad(cfg, q, X, Y, 1.0, ones_r, ones_s, eps_hat))
+        shared_grads.append(_likelihood_grad(cfg, q, X, Y, 1.0, None, eps_hat))
         R = rng.integers(0, 2, size=(X.shape[0], r_total)) * 2.0 - 1.0
         S = rng.integers(0, 2, size=(X.shape[0], s_total)) * 2.0 - 1.0
-        flip_grads.append(_likelihood_grad(cfg, q, X, Y, 1.0, R, S, eps_hat))
+        flip_grads.append(_likelihood_grad(cfg, q, X, Y, 1.0, (R, S), eps_hat))
     var_shared = np.stack(shared_grads).var(axis=0).sum()
     var_flip = np.stack(flip_grads).var(axis=0).sum()
     assert var_flip < var_shared
