@@ -34,6 +34,8 @@ Scalar = Any  # float | np.ndarray | Var
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
     grad = np.asarray(grad)
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -159,9 +161,15 @@ class Var:
         return Var(c @ self.data, (self,), lambda g: (c.T @ g,))
 
     def __getitem__(self, key):
+        keys = key if isinstance(key, tuple) else (key,)
+        fancy = any(isinstance(k, (np.ndarray, list)) for k in keys)
+
         def vjp(g):
             out = np.zeros_like(self.data)
-            out[key] += g
+            if fancy:  # an index array may repeat an entry; += would add it once
+                np.add.at(out, key, g)
+            else:
+                out[key] += g
             return (out,)
 
         return Var(self.data[key], (self,), vjp)
@@ -172,7 +180,7 @@ class Var:
         return Var(
             self.data.sum(),
             (self,),
-            lambda g: (np.broadcast_to(g, self.shape).copy(),),
+            lambda g: (np.full(self.shape, g),),
         )
 
     def mean(self) -> "Var":
@@ -180,7 +188,7 @@ class Var:
         return Var(
             self.data.mean(),
             (self,),
-            lambda g: (np.broadcast_to(g / n, self.shape).copy(),),
+            lambda g: (np.full(self.shape, g / n),),
         )
 
     def reshape(self, shape) -> "Var":
@@ -190,24 +198,24 @@ class Var:
     # -- reverse pass ---------------------------------------------------
 
     def backward(self) -> set:
-        """Accumulate gradients into every reachable node; returns the ids
+        """Accumulate gradients into every reachable node; returns the set
         of visited nodes. The objective must be scalar."""
         if self.data.shape != ():
             raise StructuralError("backward() requires a scalar objective")
         order: list[Var] = []
-        visited: set[int] = set()
+        visited: set[Var] = set()  # by identity: Var defines no __eq__
         stack: list[tuple[Var, bool]] = [(self, False)]
         while stack:
             node, processed = stack.pop()
             if processed:
                 order.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p not in visited:
                     stack.append((p, False))
         self.grad = np.ones(())
         for node in reversed(order):
@@ -217,7 +225,7 @@ class Var:
                 if g is None:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
-        return {id(n) for n in order}
+        return visited
 
 
 def _var_unary(x: Var, value: np.ndarray, dfdx: np.ndarray) -> Var:
@@ -419,10 +427,10 @@ def grad_params(objective: Var, params: Sequence[Var]) -> np.ndarray:
     """
     if not isinstance(objective, Var):
         raise StructuralError("objective is not part of a computation record")
-    visited_ids = objective.backward()
+    visited = objective.backward()
     pieces = []
     for p in params:
-        if id(p) not in visited_ids:
+        if p not in visited:
             raise StructuralError("parameter was never recorded in the objective")
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
         pieces.append(np.asarray(g, dtype=float).ravel())

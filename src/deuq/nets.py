@@ -21,16 +21,8 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .autodiff import Var, exp, sin, softplus, tanh
+from .autodiff import Var
 from .errors import ConfigError, StructuralError
-
-
-def rbf(x):
-    """Gaussian ridge exp(-x^2): localized response along one direction."""
-    return exp(-(x * x))
-
-
-_ACTIVATIONS = {"tanh": tanh, "sin": sin, "softplus": softplus, "rbf": rbf}
 
 
 @dataclass(frozen=True)
@@ -142,10 +134,14 @@ def rbf_feature_init(config: MLPConfig, domain) -> MLPParams:
     return params
 
 
-def _tanh_derivatives(z, h, d1, d2, d3):
+def _tanh_derivatives(z, h, d1=None, d2=None, d3=None):
     np.tanh(z, out=h)
+    if d1 is None:
+        return
     np.multiply(h, h, out=d1)
     np.subtract(1.0, d1, out=d1)  # 1 - t^2
+    if d2 is None:
+        return
     np.multiply(h, d1, out=d2)
     d2 *= -2.0  # -2 t (1 - t^2)
     if d3 is not None:  # 2 s (2 - 3 s) with s = 1 - t^2
@@ -155,17 +151,24 @@ def _tanh_derivatives(z, h, d1, d2, d3):
         d3 *= 2.0
 
 
-def _sin_derivatives(z, h, d1, d2, d3):
+def _sin_derivatives(z, h, d1=None, d2=None, d3=None):
     np.sin(z, out=h)
+    if d1 is None:
+        return
     np.cos(z, out=d1)
-    np.negative(h, out=d2)
+    if d2 is not None:
+        np.negative(h, out=d2)
     if d3 is not None:
         np.negative(d1, out=d3)
 
 
-def _softplus_derivatives(z, h, d1, d2, d3):
+def _softplus_derivatives(z, h, d1=None, d2=None, d3=None):
     np.logaddexp(0.0, z, out=h)
+    if d1 is None:
+        return
     expit(z, out=d1)
+    if d2 is None:
+        return
     np.subtract(1.0, d1, out=d2)
     d2 *= d1  # s (1 - s)
     if d3 is not None:  # s (1 - s) (1 - 2 s)
@@ -174,9 +177,10 @@ def _softplus_derivatives(z, h, d1, d2, d3):
         d3 *= d2
 
 
-def _rbf_derivatives(z, h, d1, d2, d3):
-    np.multiply(z, z, out=d2)  # z^2, until d2 is formed below
-    np.negative(d2, out=h)
+def _rbf_derivatives(z, h, d1=None, d2=None, d3=None):
+    sq = h if d2 is None else d2
+    np.multiply(z, z, out=sq)  # z^2, until d2 is formed below
+    np.negative(sq, out=h)
     np.exp(h, out=h)
     if d3 is not None:  # 4 z (3 - 2 z^2) e
         np.multiply(d2, -2.0, out=d3)
@@ -184,16 +188,19 @@ def _rbf_derivatives(z, h, d1, d2, d3):
         d3 *= z
         d3 *= 4.0
         d3 *= h
-    d2 *= 4.0
-    d2 -= 2.0
-    d2 *= h  # (4 z^2 - 2) e
-    np.multiply(z, h, out=d1)
-    d1 *= -2.0  # -2 z e
+    if d2 is not None:
+        d2 *= 4.0
+        d2 -= 2.0
+        d2 *= h  # (4 z^2 - 2) e
+    if d1 is not None:
+        np.multiply(z, h, out=d1)
+        d1 *= -2.0  # -2 z e
 
 
-# activation value and its first three derivatives, written into buffers;
-# the third derivative is skipped (d3 None) when no second derivative is carried
-_JET_DERIVATIVES = {
+# activation value and its first three derivatives, written into buffers
+# (h may be z itself when no derivative is asked for); a derivative left
+# None is skipped, and so is every higher one
+_ACTIVATIONS = {
     "tanh": _tanh_derivatives,
     "sin": _sin_derivatives,
     "softplus": _softplus_derivatives,
@@ -238,8 +245,12 @@ class JetKernel:
     units (r) and input units (s): each pre-activation gains
     ((h ∘ s) ΔWᵀ + Δb) ∘ r (Wen et al. 2018), with r = s = 1 without signs.
     Every buffer is allocated once, the perturbation's on first use, and
-    overwritten in place by each ``forward``; ``backward`` reads what the
-    latest ``forward`` stored, and Δ and the signs as they were passed.
+    overwritten in place by each ``forward``, which copies the parameters
+    and Δ in; their per-layer views and the sign-column ranges are worked
+    out once too. ``backward`` reads what the latest ``forward`` stored,
+    and the signs as they were passed. A value-only kernel (m = 0) forms
+    no second derivative of the activation and skips the mixing of tangent
+    streams into the value stream, as it has none to mix.
     """
 
     def __init__(self, config: MLPConfig, points: np.ndarray,
@@ -260,20 +271,21 @@ class JetKernel:
         self._x = np.zeros((S, n, config.input_dim))
         self._x[0] = points
         self._x[1 : 1 + m] = seeds[self._perm][:, None, :]
-        self._act = _JET_DERIVATIVES[config.activation]
+        self._act = _ACTIVATIONS[config.activation]
         widths = config.hidden_sizes
         self._z = [np.empty((S, n, w)) for w in widths]  # pre-activation streams
         self._h = [np.empty((S, n, w)) for w in widths]  # post-activation streams
         self._g = [np.empty((S, n, w)) for w in widths]  # their cotangents
-        # first, second and (with q > 0) third derivative of the activation
-        self._d = [np.empty((3 if q else 2, n, w)) for w in widths]
+        # first, (with m > 0) second and (with q > 0) third derivative of the activation
+        self._d = [np.empty((1 + (m > 0) + (q > 0), n, w)) for w in widths]
         self._sq = [np.empty((q, n, w)) for w in widths]  # squared tangents
         self._tmp = [np.empty((S - 1, n, w)) for w in widths]
         self._acc = [np.empty((n, w)) for w in widths]
         self._out = np.empty((S, n, config.output_dim))
-        self._params = np.empty(config.n_params)
-        self._grad = np.empty(config.n_params)
-        self._dgrad = self._flip = None
+        self._params, self._grad = np.empty(config.n_params), np.empty(config.n_params)
+        self._net = MLPParams.from_flat(config, self._params)  # per-layer views
+        self._grads = MLPParams.from_flat(config, self._grad)
+        self._delta = self._flip = None
         self._generation = 0
 
     def stream(self, direction: int, order: int) -> int:
@@ -295,19 +307,22 @@ class JetKernel:
             if delta is None and signs is None:
                 return None
             raise StructuralError("only a value-only kernel takes a perturbation and signs")
-        n, shapes = self._x.shape[1], self.config.layer_shapes()
-        if self._dgrad is None:
-            self._dgrad = np.empty(self.config.n_params)
-            self._hs = [np.empty((n, i)) for _, i in shapes]
-            self._t = [np.empty((n, o)) for o, _ in shapes]
-        d = MLPParams.from_flat(self.config, delta)
-        cols = np.cumsum([(0, 0)] + shapes, axis=0)  # row k: where layer k's (r, s) columns start
-        layers = []
-        for k, (dW, db, hs, t) in enumerate(zip(d.weights, d.biases, self._hs, self._t)):
-            r, s = (None, None) if signs is None else (
-                a[:, lo:hi] for a, lo, hi in zip(signs, cols[k], cols[k + 1]))
-            layers.append((dW, db, r, s, hs, t))
-        return layers
+        P = self.config.n_params
+        if np.size(delta) != P:
+            raise StructuralError(f"expected {P} parameters, got {np.size(delta)}")
+        if self._delta is None:  # per layer: Δ's views, scratch, sign columns r and s
+            n, shapes = self._x.shape[1], self.config.layer_shapes()
+            self._delta, self._dgrad = np.empty(P), np.empty(P)
+            self._dgrads = MLPParams.from_flat(self.config, self._dgrad)
+            d = MLPParams.from_flat(self.config, self._delta)
+            ends = np.cumsum(shapes, axis=0).tolist()
+            self._layers = [(dW, db, np.empty((n, i)), np.empty((n, o)),
+                             slice(r1 - o, r1), slice(s1 - i, s1))
+                            for dW, db, (o, i), (r1, s1) in zip(d.weights, d.biases, shapes, ends)]
+        self._delta[...] = delta
+        R, S = (None, None) if signs is None else signs
+        return [(dW, db, None if R is None else R[:, rc], None if S is None else S[:, sc], hs, t)
+                for dW, db, hs, t, rc, sc in self._layers]
 
     def forward(self, flat: np.ndarray, delta: np.ndarray | None = None,
                 signs: tuple | None = None) -> np.ndarray:
@@ -315,11 +330,10 @@ class JetKernel:
         self._generation += 1
         m, q = self._m, self._q
         self._params[...] = flat
-        params = MLPParams.from_flat(self.config, self._params)
         self._flip, self._signs = self._perturbation(delta, signs), signs
         outs = self._z + [self._out]
         prev = self._x
-        for i, (W, b) in enumerate(zip(params.weights, params.biases)):
+        for i, (W, b) in enumerate(zip(self._net.weights, self._net.biases)):
             if self._flip is None:
                 _dense(prev, W, b, outs[i])
             else:
@@ -327,8 +341,9 @@ class JetKernel:
             if i == len(self._z):
                 break
             z, h, d = self._z[i], self._h[i], self._d[i]
-            self._act(z[0], h[0], d[0], d[1], d[2] if q else None)
-            np.multiply(z[1 : 1 + m], d[0], out=h[1 : 1 + m])
+            self._act(z[0], h[0], d[0], d[1] if m else None, d[2] if q else None)
+            if m:
+                np.multiply(z[1 : 1 + m], d[0], out=h[1 : 1 + m])
             if q:
                 sq, tmp = self._sq[i], self._tmp[i][:q]
                 np.multiply(z[1 : 1 + q], z[1 : 1 + q], out=sq)
@@ -342,9 +357,7 @@ class JetKernel:
         """Flat gradients to the parameters and (after a perturbed pass) to Δ,
         given the cotangent of the output streams of the latest ``forward``."""
         m, q = self._m, self._q
-        weights = MLPParams.from_flat(self.config, self._params).weights
-        grads = MLPParams.from_flat(self.config, self._grad)  # views into _grad
-        dgrads = MLPParams.from_flat(self.config, self._dgrad) if self._flip else None
+        weights, grads = self._net.weights, self._grads
         g = np.ascontiguousarray(g, dtype=float)
         for i in range(len(weights) - 1, -1, -1):
             prev = self._h[i - 1] if i else self._x
@@ -355,8 +368,8 @@ class JetKernel:
                 dW, _, r, s, hs, gr = self._flip[i]
                 gr = g[0] if r is None else np.multiply(g[0], r, out=gr)
                 if r is not None:  # without signs, Δ's gradient is μ's
-                    np.matmul(gr.T, hs, out=dgrads.weights[i])
-                    np.sum(gr, axis=0, out=dgrads.biases[i])
+                    np.matmul(gr.T, hs, out=self._dgrads.weights[i])
+                    np.sum(gr, axis=0, out=self._dgrads.biases[i])
             if i == 0:
                 break
             k = i - 1
@@ -370,17 +383,18 @@ class JetKernel:
             # G holds the cotangent of layer k's activations; turn it into
             # that of its pre-activations in place. The value stream reads
             # every other stream's cotangent, so it goes first.
-            np.multiply(z[1:], G[1:], out=tmp)
-            np.sum(tmp, axis=0, out=acc)
-            acc *= d[1]
             G[0] *= d[0]
-            G[0] += acc
+            if m:
+                np.multiply(z[1:], G[1:], out=tmp)
+                np.sum(tmp, axis=0, out=acc)
+                acc *= d[1]
+                G[0] += acc
+                G[1 : 1 + m] *= d[0]
             if q:
                 np.multiply(self._sq[k], G[1 + m :], out=tmp[:q])
                 np.sum(tmp[:q], axis=0, out=acc)
                 acc *= d[2]
                 G[0] += acc
-            G[1 : 1 + m] *= d[0]
             if q:
                 np.multiply(z[1 : 1 + q], G[1 + m :], out=tmp[:q])
                 tmp[:q] *= d[1]
@@ -414,7 +428,8 @@ def hidden(params: MLPParams, points: np.ndarray) -> np.ndarray:
     act = _ACTIVATIONS[params.config.activation]
     h = points
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
-        h = act(h @ W.T + b)
+        h = h @ W.T + b
+        act(h, h)
     return h
 
 

@@ -11,7 +11,13 @@ from .errors import DivergenceError
 
 
 class Adam:
-    """Standard defaults; full-batch usage keeps runs deterministic."""
+    """Standard defaults; full-batch usage keeps runs deterministic.
+
+    The moments update in place through two scratch buffers, in the
+    operation order of the textbook step: (b1 m) + ((1 - b1) g),
+    (b2 v) + (((1 - b2) g) g), then (lr m_hat) / (sqrt(v_hat) + eps).
+    Each step returns a fresh vector, so a caller may keep the previous one.
+    """
 
     def __init__(self, n: int, learning_rate: float = 1e-3,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -22,14 +28,21 @@ class Adam:
         self.m = np.zeros(n)
         self.v = np.zeros(n)
         self.t = 0
+        self._a, self._b = np.empty(n), np.empty(n)
 
     def step(self, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        m_hat = self.m / (1.0 - self.beta1**self.t)
-        v_hat = self.v / (1.0 - self.beta2**self.t)
-        return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+        m, v, a, b = self.m, self.v, self._a, self._b
+        m *= self.beta1
+        m += np.multiply(1.0 - self.beta1, grad, out=a)
+        v *= self.beta2
+        np.multiply(1.0 - self.beta2, grad, out=a)
+        v += np.multiply(a, grad, out=a)
+        np.divide(m, 1.0 - self.beta1**self.t, out=a)  # m_hat
+        np.divide(v, 1.0 - self.beta2**self.t, out=b)  # v_hat
+        a *= self.learning_rate
+        a /= np.add(np.sqrt(b, out=b), self.eps, out=b)
+        return params - a
 
 
 def fit(loss_and_grad: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarray]]],

@@ -48,8 +48,12 @@ def posterior_predictive_mc(q: VariationalParams, net_config: nets.MLPConfig,
                             grid: np.ndarray, n_samples: int = 1000,
                             seed: int = 0) -> PredictiveBand:
     """Sample-mean/std band from n_samples posterior draws (unbiased
-    variance). Deterministic for a fixed seed; samples are reduced in draw
-    order with a streaming update."""
+    variance). Deterministic for a fixed seed. Draws are made in chunks, a
+    chunk's weight noise in one call (the same stream as one call per
+    draw), and pushed through the network with one batched product per
+    layer; samples are then reduced in draw order with a streaming update.
+    The chunk holds as many draws as fit one layer's values in about 2^16
+    numbers, so it follows from the grid and the widest layer."""
     if n_samples < 2:
         raise ConfigError("posterior predictive needs at least 2 samples")
     if q.config is not None and q.config != net_config:
@@ -57,15 +61,31 @@ def posterior_predictive_mc(q: VariationalParams, net_config: nets.MLPConfig,
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     rng = np.random.default_rng(seed)
     sigma = q.sigma
-    mean = np.zeros((grid.shape[0], net_config.output_dim))
+    n, shapes = grid.shape[0], net_config.layer_shapes()
+    chunk = max(1, min(n_samples, 2**16 // (n * max(o for o, _ in shapes))))
+    act = nets._ACTIVATIONS[net_config.activation]
+    noise = np.empty((chunk, q.mu.size))
+    layers = [np.empty((chunk, n, o)) for o, _ in shapes]
+    mean = np.zeros((n, net_config.output_dim))
     m2 = np.zeros_like(mean)
-    for i in range(1, n_samples + 1):
-        w = q.mu + sigma * rng.standard_normal(q.mu.size)
-        params = nets.MLPParams.from_flat(net_config, w)
-        values = nets.evaluate(params, grid)
-        delta = values - mean
-        mean += delta / i
-        m2 += delta * (values - mean)
+    for start in range(0, n_samples, chunk):
+        k = min(chunk, n_samples - start)
+        w = rng.standard_normal(out=noise[:k])
+        w *= sigma
+        w += q.mu
+        h, off = grid, 0
+        for (o, i), out in zip(shapes, layers):
+            W = w[:, off : off + o * i].reshape(k, o, i)
+            off += o * i
+            h = np.matmul(h, W.transpose(0, 2, 1), out=out[:k])
+            h += w[:, None, off : off + o]
+            off += o
+            if out is not layers[-1]:
+                act(h, h)
+        for i, values in enumerate(h, start + 1):
+            delta = values - mean
+            mean += delta / i
+            m2 += delta * (values - mean)
     std = np.sqrt(m2 / (n_samples - 1))
     return PredictiveBand(grid, mean, std)
 

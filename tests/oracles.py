@@ -14,6 +14,10 @@ oracle for the fused jet kernel in `deuq.nets.JetKernel`. Next to it:
 
 Two small samplers sit here too, because only tests call them: the
 stage-1 dataset on a chosen grid, and one shared-noise posterior draw.
+So do two loops as first written, on fresh arrays: `mc_band_per_draw`,
+the Monte Carlo band one draw and one `nets.evaluate` at a time, and
+`adam_step`, the out-of-place Adam step. The chunked band and the
+in-place step must match them bit for bit.
 
 So do the reference integrators as first written, on numpy arrays: RK4 on
 an array state and Crank-Nicolson with `solve_banded` on a fresh banded
@@ -39,10 +43,20 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from deuq import nets, problems, stage1
-from deuq.autodiff import Jet2, Var, grad_params
+from deuq.autodiff import Jet2, Var, exp, grad_params, sin, softplus, tanh
 from deuq.errors import ConfigError, OracleError, StructuralError
 from deuq.uq import GaussianPrior, NLMPosterior, feature_map, sign_dims
 from deuq.uq.variational import VariationalParams
+
+
+def rbf(x):
+    """Gaussian ridge exp(-x^2) on numbers, arrays, tape nodes and jets."""
+    return exp(-(x * x))
+
+
+# the activations by dispatch on the argument type; `deuq.nets` applies
+# them in place on arrays, with their derivatives into buffers
+TAPE_ACTIVATIONS = {"tanh": tanh, "sin": sin, "softplus": softplus, "rbf": rbf}
 
 
 def _affine_jet(h: Jet2, W, b) -> Jet2:
@@ -57,7 +71,7 @@ def forward_batch(config: nets.MLPConfig, weights: Sequence, biases: Sequence, x
     Weights may be numpy arrays or Var nodes; returns a jet with components
     of shape (n, output_dim).
     """
-    act = nets._ACTIVATIONS[config.activation]
+    act = TAPE_ACTIVATIONS[config.activation]
     h = x
     last = len(weights) - 1
     for i, (W, b) in enumerate(zip(weights, biases)):
@@ -83,7 +97,7 @@ def decomposed_forward(config: nets.MLPConfig, mu_Ws, mu_bs, d_Ws, d_bs, X, R, S
     """Batch forward with per-example rank-one sign flips,
     h @ mu_W^T + ((h o S) @ d_W^T) o R + mu_b + d_b o R per layer, where R
     and S hold each layer's output-side and input-side signs side by side."""
-    act = nets._ACTIVATIONS[config.activation]
+    act = TAPE_ACTIVATIONS[config.activation]
     h = X
     last = len(mu_Ws) - 1
     r_off = s_off = 0
@@ -102,7 +116,7 @@ def decomposed_forward(config: nets.MLPConfig, mu_Ws, mu_bs, d_Ws, d_bs, X, R, S
 
 def values_batch(config: nets.MLPConfig, weights: Sequence, biases: Sequence, x) -> np.ndarray:
     """Plain value-only forward pass on points of shape (n, input_dim)."""
-    act = nets._ACTIVATIONS[config.activation]
+    act = TAPE_ACTIVATIONS[config.activation]
     h = np.asarray(x, dtype=float) if not isinstance(x, Var) else x
     last = len(weights) - 1
     for i, (W, b) in enumerate(zip(weights, biases)):
@@ -175,6 +189,37 @@ def bbb_sample_weights(q: VariationalParams, noise: np.ndarray) -> nets.MLPParam
     if q.config is None:
         raise StructuralError("sampling into layers requires a network config")
     return nets.MLPParams.from_flat(q.config, q.mu + q.sigma * noise)
+
+
+def mc_band_per_draw(q: VariationalParams, net_config: nets.MLPConfig, grid: np.ndarray,
+                     n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and std of the Monte Carlo band one draw at a time: a fresh
+    noise vector, a full `nets.evaluate` and a streaming update per draw.
+    `deuq.uq.posterior_predictive_mc` does the same in chunks of draws."""
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    rng = np.random.default_rng(seed)
+    sigma = q.sigma
+    mean = np.zeros((grid.shape[0], net_config.output_dim))
+    m2 = np.zeros_like(mean)
+    for i in range(1, n_samples + 1):
+        w = q.mu + sigma * rng.standard_normal(q.mu.size)
+        params = nets.MLPParams.from_flat(net_config, w)
+        values = nets.evaluate(params, grid)
+        delta = values - mean
+        mean += delta / i
+        m2 += delta * (values - mean)
+    return mean, np.sqrt(m2 / (n_samples - 1))
+
+
+def adam_step(opt, params: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """One Adam step on fresh arrays, rebinding `opt.m` and `opt.v`; the
+    step `deuq.optim.Adam.step` takes in place."""
+    opt.t += 1
+    opt.m = opt.beta1 * opt.m + (1.0 - opt.beta1) * grad
+    opt.v = opt.beta2 * opt.v + (1.0 - opt.beta2) * grad * grad
+    m_hat = opt.m / (1.0 - opt.beta1**opt.t)
+    v_hat = opt.v / (1.0 - opt.beta2**opt.t)
+    return params - opt.learning_rate * m_hat / (np.sqrt(v_hat) + opt.eps)
 
 
 def rk4_path(f, t0: float, y0: np.ndarray, ts: np.ndarray, max_step: float) -> np.ndarray:

@@ -156,6 +156,14 @@ def test_grad_matmul_transpose_getitem():
     assert finite_diff_check(obj, W.data.ravel(), 1e-6) < 1e-7
 
 
+def test_grad_getitem_accumulates_repeated_indices():
+    x = Var(np.arange(3.0))
+    np.testing.assert_array_equal(grad_params(x[np.array([0, 0, 2])].sum(), [x]), [2.0, 0.0, 1.0])
+    y = Var(np.arange(6.0).reshape(3, 2))
+    loss = (y[[1, 1, 0], 1:] * np.array([[1.0], [2.0], [4.0]])).sum()
+    np.testing.assert_array_equal(grad_params(loss, [y]), [0.0, 4.0, 0.0, 3.0, 0.0, 0.0])
+
+
 def test_finite_diff_check_linear_is_exact():
     err = finite_diff_check(
         lambda p: (p * np.array([3.0, -1.0, 0.25])).sum(),

@@ -124,6 +124,8 @@ def test_flip_term_needs_a_value_only_kernel():
     R, S = (np.ones((points.shape[0], k)) for k in sign_dims(cfg))
     with pytest.raises(StructuralError):
         nets.JetKernel(cfg, points, np.zeros((0, 1)), ()).forward(flat, None, (R, S))
+    with pytest.raises(StructuralError):  # a single number would broadcast into Δ
+        nets.JetKernel(cfg, points, np.zeros((0, 1)), ()).forward(flat, np.zeros(1))
 
 
 @pytest.mark.parametrize("preset", problems.preset_names())

@@ -3,10 +3,11 @@ import pytest
 
 from deuq import nets
 from deuq.errors import DivergenceError
-from deuq.optim import fit
+from deuq.optim import Adam, fit
 from deuq.uq import GaussianPrior, LikelihoodSpec, OptConfig, bbb_train, der_train, flipout_train
 from deuq.uq.nlm import train_feature_net
 from deuq.uq.variational import VariationalParams
+from oracles import adam_step
 
 
 def _shifted_square(offset):
@@ -62,6 +63,43 @@ def test_non_finite_initial_loss_carries_the_start():
     assert err.value.last_params[0] == "wrapped"
     np.testing.assert_array_equal(err.value.last_params[1], x0)
     assert err.value.loss_history == []
+
+
+def test_in_place_step_matches_the_out_of_place_step():
+    rng = np.random.default_rng(5)
+    opt, ref = Adam(41, 3e-2), Adam(41, 3e-2)
+    x = y = rng.normal(size=41)
+    for _ in range(200):
+        grad = rng.normal(size=41) * 10.0 ** rng.integers(-8, 4)
+        x, y = opt.step(x, grad), adam_step(ref, y, grad)
+        assert np.array_equal(x, y)
+    assert np.array_equal(opt.m, ref.m) and np.array_equal(opt.v, ref.v)
+
+
+def test_step_returns_a_fresh_vector():
+    opt = Adam(3, 0.1)
+    x0, grad = np.array([1.0, -2.0, 3.0]), np.array([0.5, 0.25, -1.0])
+    x1 = opt.step(x0, grad)
+    m, v = opt.m.copy(), opt.v.copy()
+    x1[...] = 99.0
+    np.testing.assert_array_equal(x0, [1.0, -2.0, 3.0])
+    assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+    x2 = opt.step(x1, grad)
+    assert not any(np.shares_memory(x2, a) for a in (x1, grad, opt.m, opt.v))
+
+
+def test_divergence_at_step_k_carries_the_vector_of_step_k_minus_1():
+    k, seen = 7, []
+
+    def loss_and_grad(x):
+        seen.append(x.copy())  # seen[j] is the vector after j steps
+        return float("nan") if len(seen) == k + 1 else float(x @ x), lambda: 2.0 * x
+
+    with pytest.raises(DivergenceError) as err:
+        fit(loss_and_grad, np.array([1.0, -2.0, 0.5]), 0.1, 20)
+    assert f"at step {k}" in str(err.value)
+    np.testing.assert_array_equal(err.value.last_params, seen[k - 1])
+    assert [s for s, _ in err.value.loss_history] == list(range(k))
 
 
 X = np.linspace(0.0, 1.0, 16).reshape(-1, 1)

@@ -11,6 +11,7 @@ from deuq.uq import (
     nlm_fit,
     posterior_predictive_mc,
 )
+from oracles import mc_band_per_draw
 
 CFG = nets.MLPConfig(1, 1, (6,), seed=0)
 GRID = np.linspace(0.0, 3.0, 31).reshape(-1, 1)
@@ -104,6 +105,48 @@ def test_enforce_predictive_rejects_double_enforcement():
     out = enforce_predictive(band, problem.transform)
     with pytest.raises(StructuralError):
         enforce_predictive(out, problem.transform)
+
+
+def _mc_case(activation, depth, input_dim, output_dim):
+    cfg = nets.MLPConfig(input_dim, output_dim, (8, 5, 3)[:depth], activation,
+                         seed=depth + 3 * input_dim)
+    rng = np.random.default_rng(depth)
+    q = VariationalParams(cfg, nets.init(cfg).flat() + 0.1 * rng.normal(size=cfg.n_params),
+                          rng.uniform(-4.0, -1.0, size=cfg.n_params))
+    grid = problems.grid_points([(0.0, 3.0)] * input_dim, 64 if input_dim == 1 else 8)
+    return cfg, q, grid, 2**16 // (len(grid) * 8)  # the chunk: 128 draws
+
+
+@pytest.mark.parametrize("output_dim", [1, 2])
+@pytest.mark.parametrize("input_dim", [1, 2])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+@pytest.mark.parametrize("activation", ["tanh", "sin", "softplus", "rbf"])
+def test_chunked_mc_band_equals_the_per_draw_loop(activation, depth, input_dim, output_dim):
+    cfg, q, grid, chunk = _mc_case(activation, depth, input_dim, output_dim)
+    for n_samples in (2, chunk - 1, chunk, chunk + 1, 1000):
+        band = posterior_predictive_mc(q, cfg, grid, n_samples=n_samples, seed=n_samples)
+        mean, std = mc_band_per_draw(q, cfg, grid, n_samples, seed=n_samples)
+        assert np.array_equal(band.mean, mean) and np.array_equal(band.std, std)
+
+
+def test_chunked_mc_band_on_the_ode_geometry():
+    # a (32,) rbf head on the 201-point ODE grid: ten draws per chunk
+    cfg = nets.MLPConfig(1, 1, (32,), "rbf", seed=1)
+    q = VariationalParams(cfg, nets.init(cfg).flat(), np.full(cfg.n_params, -3.0))
+    grid = np.linspace(0.0, 2.0, 201).reshape(-1, 1)
+    band = posterior_predictive_mc(q, cfg, grid, n_samples=1000, seed=4)
+    mean, std = mc_band_per_draw(q, cfg, grid, 1000, seed=4)
+    assert np.array_equal(band.mean, mean) and np.array_equal(band.std, std)
+
+
+def test_chunked_mc_band_collapses_exactly():
+    cfg, q, grid, chunk = _mc_case("tanh", 2, 1, 2)
+    q = VariationalParams(cfg, q.mu, np.full(cfg.n_params, -800.0))
+    band = posterior_predictive_mc(q, cfg, grid, n_samples=chunk + 1, seed=3)
+    mean, std = mc_band_per_draw(q, cfg, grid, chunk + 1, seed=3)
+    assert np.all(band.std == 0.0) and np.array_equal(band.std, std)
+    assert np.array_equal(band.mean, mean)
+    assert np.array_equal(band.mean, nets.evaluate(nets.MLPParams.from_flat(cfg, q.mu), grid))
 
 
 def test_mc_band_std_converges_with_sample_count():
