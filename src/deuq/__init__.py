@@ -7,30 +7,4 @@ last-layer, or evidential) treats that solution as observed data and emits
 a posterior predictive band that is itself condition-enforced.
 """
 
-from . import autodiff, experiment, metrics, nets, problems, stage1, uq
-from .errors import (
-    ConfigError,
-    DeuqError,
-    DivergenceError,
-    DomainError,
-    OracleError,
-    StructuralError,
-)
-
-__all__ = [
-    "ConfigError",
-    "DeuqError",
-    "DivergenceError",
-    "DomainError",
-    "OracleError",
-    "StructuralError",
-    "autodiff",
-    "experiment",
-    "metrics",
-    "nets",
-    "problems",
-    "stage1",
-    "uq",
-]
-
 __version__ = "0.1.0"

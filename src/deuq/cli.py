@@ -5,7 +5,7 @@ on a saved stage-1 file), ``run`` (full pipeline), ``report`` (metrics from
 a saved band CSV).
 Settings may come from a JSON config file; command-line flags override file
 values, which override built-in defaults. Exit codes: 0 success,
-1 numerical failure, 2 configuration error.
+1 numerical failure, 2 configuration error or an unreadable input file.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import experiment, stage1
-from .errors import ConfigError, DeuqError, StructuralError
+from . import experiment
+from .errors import ConfigError, DeuqError
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -71,6 +71,14 @@ def _file_value(key: str, value, flag: argparse.Action):
     return value
 
 
+def _widths(key: str, text: str) -> tuple:
+    """Layer widths from a comma-separated list such as "32,32"."""
+    try:
+        return tuple(int(w) for w in text.split(",") if w)
+    except ValueError:
+        raise ConfigError(f"{key} must be comma-separated integers, got {text!r}") from None
+
+
 def _build_config(args: argparse.Namespace) -> experiment.ExperimentConfig:
     settings: dict = {}
     if args.config is not None:
@@ -79,7 +87,7 @@ def _build_config(args: argparse.Namespace) -> experiment.ExperimentConfig:
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {args.config}")
         except json.JSONDecodeError as e:
-            raise ConfigError(f"config file is not valid JSON: {e}")
+            raise ConfigError(f"config file {args.config} is not valid JSON: {e}")
         unknown = set(settings) - _FLAG_FIELDS
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
@@ -96,7 +104,7 @@ def _build_config(args: argparse.Namespace) -> experiment.ExperimentConfig:
             settings[name] = value
     for key in ("hidden_sizes", "stage2_hidden_sizes"):
         if isinstance(settings.get(key), str):
-            settings[key] = tuple(int(w) for w in settings[key].split(",") if w)
+            settings[key] = _widths(key, settings[key])
     return experiment.ExperimentConfig(**settings)
 
 
@@ -123,17 +131,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_uq(args) -> int:
     config = _build_config(args)
-    result = stage1.load_result(args.stage1)
-    if result.problem.name != config.preset:
-        raise ConfigError(
-            f"stage-1 file is for preset {result.problem.name!r}, "
-            f"config says {config.preset!r}"
-        )
-    if result.settings_digest != experiment.stage1_digest(config, result.problem):
-        raise ConfigError(
-            "stage-1 file was not solved with this config's stage-1 settings "
-            "(network, collocation, training); solve again or pass its settings"
-        )
+    result = experiment.load_stage1(config, args.stage1)
+    if result is None:
+        raise ConfigError(f"{args.stage1} is not a readable stage-1 file solved with this "
+                          "config's stage-1 settings; solve again or pass its settings")
     _print_artifacts(experiment.run_uq(config, result, args.stage1))
     return 0
 
@@ -186,7 +187,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (DeuqError, StructuralError, FileNotFoundError) as e:
+    except (DeuqError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

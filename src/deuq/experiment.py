@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -22,22 +23,12 @@ import numpy as np
 from . import metrics, nets, problems, stage1
 from .errors import ConfigError, StructuralError
 from .stage1 import atomic_write as _atomic_write
-from .uq import (
-    GaussianPrior,
-    LikelihoodSpec,
-    OptConfig,
-    bbb_train,
-    der_band,
-    der_evaluate,
-    der_train,
-    enforce_predictive,
-    flipout_train,
-    nlm_band,
-    nlm_fit_dataset,
-    posterior_predictive_mc,
-)
-from .uq.der import check_lambda
-from .uq.predictive import PredictiveBand
+from .uq.common import GaussianPrior, LikelihoodSpec, OptConfig
+from .uq.der import check_lambda, der_evaluate, der_train
+from .uq.nlm import nlm_fit_dataset
+from .uq.predictive import (PredictiveBand, der_band, enforce_predictive, nlm_band,
+                            posterior_predictive_mc)
+from .uq.variational import bbb_train, flipout_train
 
 METHODS = ("bbb", "flipout", "nlm", "der")
 
@@ -156,9 +147,7 @@ def derive_seed(seed: int, slot: str) -> int:
 
 
 def build_problem(config: ExperimentConfig) -> problems.ProblemSpec:
-    if config.preset == "lotka_volterra":
-        return problems.make_preset(config.preset, lv_standard_form=config.lv_standard_form)
-    return problems.make_preset(config.preset)
+    return problems.make_preset(config.preset, **_problem_overrides(config))
 
 
 def _stage1_configs(config: ExperimentConfig, problem) -> tuple[nets.MLPConfig, stage1.TrainConfig]:
@@ -273,17 +262,26 @@ def save_stage1(config: ExperimentConfig, result: stage1.Stage1Result) -> Path:
     return path
 
 
+def load_stage1(config: ExperimentConfig, path, problem=None) -> stage1.Stage1Result | None:
+    """The stage-1 result in `path` if it is the solve of `config`: the file
+    reads, and its settings digest equals the config's. None otherwise."""
+    if not Path(path).is_file():
+        return None
+    try:
+        result = stage1.load_result(path)
+    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        return None
+    # the config's own problem, so that the digest also checks the preset name
+    return result if result.settings_digest == stage1_digest(config, problem) else None
+
+
 def run(config: ExperimentConfig) -> RunArtifacts:
-    """Full pipeline; reuses a cached stage-1 file when its settings digest
-    equals this config's. Artifacts: band CSV, stage-1 JSON, report JSON, config echo."""
+    """Full pipeline; reuses the cached stage-1 file if `load_stage1` accepts
+    it. Artifacts: band CSV, stage-1 JSON, report JSON, config echo."""
     problem = build_problem(config)
     _stage2_settings(config, problem)  # a bad stage-2 setting fails before stage 1
     path = stage1_path(config)
-    result = None
-    if config.reuse_stage1 and path.exists():
-        cached = stage1.load_result(path)
-        if cached.settings_digest == stage1_digest(config, problem):
-            result = cached
+    result = load_stage1(config, path, problem) if config.reuse_stage1 else None
     if result is None:
         result = run_stage1(config, problem)
         save_stage1(config, result)
@@ -335,10 +333,6 @@ def _problem_overrides(config: ExperimentConfig) -> dict:
     return {}
 
 
-def _coord_names(dim: int) -> list[str]:
-    return ["t"] if dim == 1 else ["x", "t"]
-
-
 def emit_band_csv(band: PredictiveBand, reference: np.ndarray,
                   train_domain, path) -> None:
     """CSV schema: point coords, mean, std, reference, in_train_domain; one
@@ -349,44 +343,36 @@ def emit_band_csv(band: PredictiveBand, reference: np.ndarray,
         reference = reference.reshape(-1, 1)
     if reference.shape != band.mean.shape:
         raise StructuralError("reference grid does not align with the band")
-    coords = _coord_names(band.grid.shape[1])
-    k = band.mean.shape[1]
-    if k == 1:
-        value_cols = ["mean", "std", "reference"]
-    else:
-        value_cols = [f"{name}_{i}" for i in range(k) for name in ("mean", "std", "reference")]
-    header = ",".join(coords + value_cols + ["in_train_domain"])
+    n, k = band.mean.shape
+    coords = ["t"] if band.grid.shape[1] == 1 else ["x", "t"]
+    suffixes = [""] if k == 1 else [f"_{i}" for i in range(k)]
+    value_cols = [name + s for s in suffixes for name in ("mean", "std", "reference")]
+    values = np.stack([band.mean, band.std, reference], axis=2).reshape(n, 3 * k)
     inside = metrics.in_train_mask(band.grid, train_domain)
-    lines = [header]
-    for row in range(band.grid.shape[0]):
-        cells = [f"{v:.9g}" for v in band.grid[row]]
-        for i in range(k):
-            cells += [
-                f"{band.mean[row, i]:.9g}",
-                f"{band.std[row, i]:.9g}",
-                f"{reference[row, i]:.9g}",
-            ]
-        cells.append("1" if inside[row] else "0")
-        lines.append(",".join(cells))
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    text = io.StringIO()
+    np.savetxt(text, np.column_stack([band.grid, values, inside]),
+               fmt=["%.9g"] * (len(coords) + 3 * k) + ["%d"], delimiter=",",
+               header=",".join(coords + value_cols + ["in_train_domain"]), comments="")
+    _atomic_write(Path(path), text.getvalue())
 
 
 def read_band_csv(path) -> tuple[PredictiveBand, np.ndarray, np.ndarray]:
-    """Load a band CSV back into (band, reference, in_train mask)."""
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].split(",")
+    """Load a band CSV back into (band, reference, in_train mask). A file
+    that is missing or does not hold the schema is a ConfigError."""
+    try:
+        with open(path) as fh:
+            header = fh.readline().rstrip("\n").split(",")
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"band CSV {path} is not readable: {e}") from None
     n_coords = sum(1 for c in header if c in ("t", "x"))
-    value_cols = len(header) - n_coords - 1
-    k = value_cols // 3
-    data = np.array([[float(c) for c in line.split(",")] for line in lines[1:]])
-    grid = data[:, :n_coords]
-    vals = data[:, n_coords : n_coords + 3 * k]
-    mean = vals[:, 0::3]
-    std = vals[:, 1::3]
-    reference = vals[:, 2::3]
-    inside = data[:, -1] > 0.5
-    band = PredictiveBand(grid, mean, std, enforced=True)
-    return band, reference, inside
+    n_values = len(header) - n_coords - 1  # a mean, std, reference triple per output
+    if not (n_coords and len(data) and n_values > 0 and n_values % 3 == 0
+            and data.shape[1] == len(header)):
+        raise ConfigError(f"band CSV {path} does not hold the band schema")
+    vals = data[:, n_coords:-1]
+    band = PredictiveBand(data[:, :n_coords], vals[:, 0::3], vals[:, 1::3], enforced=True)
+    return band, vals[:, 2::3], data[:, -1] > 0.5
 
 
 def report_from_csv(path, coverage_k: float = 2.0) -> dict:

@@ -27,7 +27,7 @@ less overhead and must match them bit for bit.
 The rest are checks the pipeline never runs:
 - `seed_input`, `central_diff_1`, `central_diff_2` and `finite_diff_check`
   check jet derivatives and tape gradients against finite differences;
-- `nlm_predict` is the per-point form of `deuq.uq.nlm_band`;
+- `nlm_predict` is the per-point form of `deuq.uq.predictive.nlm_band`;
 - `flipout_perturb` materializes the per-example weights that the
   kernel's flip term never builds;
 - `kl_gaussian_diag` is the closed-form KL the variational trainer
@@ -45,8 +45,9 @@ from scipy.linalg import solve_banded
 from deuq import nets, problems, stage1
 from deuq.autodiff import Jet2, Var, exp, grad_params, sin, softplus, tanh
 from deuq.errors import ConfigError, OracleError, StructuralError
-from deuq.uq import GaussianPrior, NLMPosterior, feature_map, sign_dims
-from deuq.uq.variational import VariationalParams
+from deuq.uq.common import GaussianPrior
+from deuq.uq.nlm import NLMPosterior, feature_map
+from deuq.uq.variational import VariationalParams, sign_dims
 
 
 def rbf(x):
@@ -195,7 +196,7 @@ def mc_band_per_draw(q: VariationalParams, net_config: nets.MLPConfig, grid: np.
                      n_samples: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Mean and std of the Monte Carlo band one draw at a time: a fresh
     noise vector, a full `nets.evaluate` and a streaming update per draw.
-    `deuq.uq.posterior_predictive_mc` does the same in chunks of draws."""
+    `deuq.uq.predictive.posterior_predictive_mc` does the same in chunks of draws."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     rng = np.random.default_rng(seed)
     sigma = q.sigma

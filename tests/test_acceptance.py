@@ -13,20 +13,11 @@ import pytest
 
 from deuq import experiment, metrics, nets, problems, stage1
 from deuq.autodiff import Var
-from deuq.uq import (
-    EvidentialOutput,
-    GaussianPrior,
-    LikelihoodSpec,
-    OptConfig,
-    bbb_train,
-    der_loss,
-    der_predictive,
-    enforce_predictive,
-    flipout_train,
-    nlm_fit,
-    posterior_predictive_mc,
-)
-from deuq.uq.variational import VariationalParams
+from deuq.uq.common import GaussianPrior, LikelihoodSpec, OptConfig
+from deuq.uq.der import EvidentialOutput, der_loss, der_predictive
+from deuq.uq.nlm import nlm_fit
+from deuq.uq.predictive import enforce_predictive, posterior_predictive_mc
+from deuq.uq.variational import VariationalParams, bbb_train, flipout_train
 from oracles import central_diff_1, central_diff_2, finite_diff_check, jet_forward, nlm_predict, seed_input, split_flat_var, values_batch
 
 SEEDS = (0, 1, 2)
@@ -288,8 +279,8 @@ def test_criterion_6_mc_matches_analytic():
     # the feature basis, a diagonal Gaussian sits on the final layer, and
     # the MC route must reproduce the closed-form route point for point
     start = time.time()
-    from deuq.uq import NLMPosterior, nlm_band
-    from deuq.uq.nlm import feature_map
+    from deuq.uq.nlm import NLMPosterior, feature_map
+    from deuq.uq.predictive import nlm_band
 
     cfg = nets.MLPConfig(1, 1, (6,), activation="tanh", seed=4)
     frozen = nets.init(cfg)

@@ -7,18 +7,16 @@ from hypothesis import strategies as st
 
 from deuq import nets, problems
 from deuq.errors import ConfigError, DomainError
-from deuq.uq import (
+from deuq.uq.common import LikelihoodSpec, OptConfig
+from deuq.uq.der import (
     EvidentialOutput,
-    LikelihoodSpec,
-    OptConfig,
-    der_band,
     der_evaluate,
     der_head,
     der_loss,
     der_predictive,
     der_train,
-    enforce_predictive,
 )
+from deuq.uq.predictive import der_band, enforce_predictive
 
 LN2 = math.log(2.0)
 

@@ -9,7 +9,7 @@ import pytest
 from deuq import experiment, problems
 from deuq.cli import main
 from deuq.errors import ConfigError
-from deuq.uq import PredictiveBand
+from deuq.uq.predictive import PredictiveBand
 
 FAST = dict(
     epochs_stage1=300, epochs_stage2=200, n_collocation=16,
@@ -355,3 +355,99 @@ def test_console_script_entry_point():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+
+
+TINY_LV_FLAGS = ["--preset", "lotka_volterra", "--method", "nlm", "--seed", "5",
+                 "--epochs-stage1", "3", "--epochs-stage2", "2", "--n-collocation", "8",
+                 "--dataset-grid", "9", "--eval-grid", "9"]
+
+
+def _counting_stage1(monkeypatch) -> list:
+    solves = []
+    real = experiment.run_stage1
+
+    def counting(config, problem=None):
+        solves.append(config)
+        return real(config, problem)
+
+    monkeypatch.setattr(experiment, "run_stage1", counting)
+    return solves
+
+
+@pytest.mark.parametrize("key", ["hidden_sizes", "stage2_hidden_sizes"])
+@pytest.mark.parametrize("form", ["flag", "file"])
+def test_cli_rejects_a_malformed_width_list(tmp_path, capsys, key, form):
+    out = tmp_path / "out"
+    if form == "flag":
+        args = ["--" + key.replace("_", "-"), "32,x", "--out", str(out)]
+    else:
+        config_file = tmp_path / "run.json"
+        config_file.write_text(json.dumps({key: "8,y", "output_dir": str(out)}))
+        args = ["--config", str(config_file)]
+    assert main(["run", "--preset", "linear_ode", "--method", "nlm", *args]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", ['{"trunc', '{"net_config": {}}', "[]"])
+def test_run_solves_again_over_an_unreadable_stage1_file(tmp_path, monkeypatch, content):
+    solves = _counting_stage1(monkeypatch)
+    clean = experiment.run(_cfg(tmp_path / "clean", **TINY_LV)).stage1_json.read_bytes()
+    config = _cfg(tmp_path / "bad", **TINY_LV)
+    path = experiment.stage1_path(config)
+    path.parent.mkdir(parents=True)
+    path.write_text(content)
+    experiment.run(config)
+    assert len(solves) == 2
+    assert path.read_bytes() == clean
+
+
+def test_run_without_stage1_reuse_solves_again(tmp_path, monkeypatch, capsys):
+    solves = _counting_stage1(monkeypatch)
+    args = [*TINY_LV_FLAGS, "--out", str(tmp_path)]
+    assert main(["run", *args]) == 0
+    stage1_file = tmp_path / "stage1_lotka_volterra_seed5.json"
+    first = stage1_file.read_bytes()
+    assert main(["run", *args]) == 0
+    assert len(solves) == 1
+    assert main(["run", *args, "--no-reuse-stage1"]) == 0
+    assert len(solves) == 2
+    assert stage1_file.read_bytes() == first
+
+
+@pytest.mark.parametrize("content", [None, '{"trunc', '{"net_config": {}}'])
+def test_cli_uq_rejects_an_unreadable_stage1_file(tmp_path, capsys, content):
+    stage1_file = tmp_path / "stage1.json"
+    if content is not None:
+        stage1_file.write_text(content)
+    out = tmp_path / "out"
+    assert main(["uq", "--stage1", str(stage1_file), *TINY_LV_FLAGS, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "stage-1 settings" in err and str(stage1_file) in err
+    assert not out.exists()
+
+
+def test_cli_uq_rejects_a_stage1_file_of_another_preset(tmp_path, capsys):
+    common = ["--seed", "6", "--out", str(tmp_path), "--epochs-stage1", "3",
+              "--n-collocation", "8", "--dataset-grid", "9"]
+    assert main(["solve", "--preset", "linear_ode", *common]) == 0
+    stage1_file = tmp_path / "stage1_linear_ode_seed6.json"
+    assert main(["uq", "--stage1", str(stage1_file), "--preset", "duffing", *common,
+                 "--method", "nlm", "--epochs-stage2", "2", "--eval-grid", "9"]) == 2
+    assert "stage-1 settings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    "",
+    "t,mean,std,reference,in_train_domain\n0.5,1,0.1\n",
+    "t,mean,std,reference,in_train_domain\n0.5,1,x,0.9,1\n",
+    "t,mean,std,reference,in_train_domain\n",
+    "t,mean,in_train_domain\n0.5,1,1\n",
+])
+def test_cli_report_rejects_an_unreadable_band_csv(tmp_path, capsys, content):
+    path = tmp_path / "band.csv"
+    if content is not None:
+        path.write_text(content)
+    assert main(["report", "--band", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err

@@ -6,7 +6,7 @@ import pytest
 from deuq import nets, problems, stage1
 from deuq.autodiff import Jet2, Var, exp, grad_params, softplus, tanh
 from deuq.errors import StructuralError
-from deuq.uq import sign_dims
+from deuq.uq.variational import sign_dims
 from oracles import decomposed_forward, jet_forward, split_flat_var, tape_residual_loss, values_batch
 
 ACTIVATIONS = ("tanh", "sin", "softplus", "rbf")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from deuq import metrics
 from deuq.errors import StructuralError
-from deuq.uq import PredictiveBand
+from deuq.uq.predictive import PredictiveBand
 
 GRID = np.linspace(0.0, 3.0, 7).reshape(-1, 1)
 TRAIN = ((0.0, 2.0),)

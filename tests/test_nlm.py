@@ -5,8 +5,8 @@ import pytest
 
 from deuq import nets
 from deuq.errors import ConfigError, StructuralError
-from deuq.uq import OptConfig, nlm_fit, nlm_fit_dataset
-from deuq.uq.nlm import feature_map, train_feature_net
+from deuq.uq.common import OptConfig
+from deuq.uq.nlm import feature_map, nlm_fit, nlm_fit_dataset, train_feature_net
 from oracles import nlm_predict
 
 

@@ -4,9 +4,10 @@ import pytest
 from deuq import nets
 from deuq.errors import DivergenceError
 from deuq.optim import Adam, fit
-from deuq.uq import GaussianPrior, LikelihoodSpec, OptConfig, bbb_train, der_train, flipout_train
+from deuq.uq.common import GaussianPrior, LikelihoodSpec, OptConfig
+from deuq.uq.der import der_train
 from deuq.uq.nlm import train_feature_net
-from deuq.uq.variational import VariationalParams
+from deuq.uq.variational import VariationalParams, bbb_train, flipout_train
 from oracles import adam_step
 
 

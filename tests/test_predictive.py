@@ -3,14 +3,9 @@ import pytest
 
 from deuq import nets, problems
 from deuq.errors import ConfigError, StructuralError
-from deuq.uq import (
-    PredictiveBand,
-    VariationalParams,
-    enforce_predictive,
-    nlm_band,
-    nlm_fit,
-    posterior_predictive_mc,
-)
+from deuq.uq.nlm import nlm_fit
+from deuq.uq.predictive import PredictiveBand, enforce_predictive, nlm_band, posterior_predictive_mc
+from deuq.uq.variational import VariationalParams
 from oracles import mc_band_per_draw
 
 CFG = nets.MLPConfig(1, 1, (6,), seed=0)

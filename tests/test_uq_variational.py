@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from deuq import nets
 from deuq.autodiff import Var, grad_params, softplus
 from deuq.errors import ConfigError, StructuralError
-from deuq.uq import (
-    GaussianPrior,
-    LikelihoodSpec,
-    OptConfig,
+from deuq.uq.common import GaussianPrior, LikelihoodSpec, OptConfig
+from deuq.uq.variational import (
     VariationalParams,
     bbb_train,
     flipout_train,
