@@ -1,239 +1,103 @@
-"""Reverse-mode tape over numpy arrays plus second-order forward jets.
+"""Forward-mode differentiation over numpy arrays: second-order jets and
+first-order duals.
 
-Two differentiation tools live here:
+Two number types live here:
 
-* ``Var`` — a node in a reverse-mode computation record. Values are numpy
-  arrays (scalars are 0-d arrays), elementwise ops broadcast, and
-  ``backward`` accumulates exact gradients for every leaf.
 * ``Jet2`` — a truncated second-order Taylor triple (value, d1, d2) along
-  one seeded input direction. Components may be floats, numpy arrays, or
-  ``Var`` nodes, so jets nest over the reverse-mode record
-  (forward-over-reverse) without extra machinery. ``d2`` may be None: the
-  jet is then first order, and every jet computed from it is too.
+  one seeded input direction. ``d2`` may be None: the jet is then first
+  order, and every jet computed from it is too. Components may be floats,
+  numpy arrays or ``Dual`` numbers.
+* ``Dual`` — a value with its first derivatives along a few seeded inputs
+  (a leading tangent axis). A loss that sums pointwise terms runs on duals
+  seeded with the network's output streams, and so yields its value and
+  its cotangent on those streams in one pass; the network's own backward
+  pass (``deuq.nets.JetKernel.backward``) does the rest. Stage one runs
+  its residual on jets of duals.
 
 The module-level functions ``exp``, ``tanh``, ``sin``, ... dispatch on the
-argument type, so the same formula runs on plain numbers, arrays, tapes,
-and jets. Everything is deterministic and side-effect free; repeated
-evaluation of the same record yields bit-identical results.
+argument type, so the same formula runs on plain numbers, arrays, duals
+and jets. Nothing is recorded: every call is a pure function of its
+arguments, and repeated evaluation yields bit-identical results.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import Any
 
 import numpy as np
 from scipy.special import digamma, expit, gammaln
 
-from .errors import ConfigError, DomainError, StructuralError
+from .errors import ConfigError
 
-Scalar = Any  # float | np.ndarray | Var
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    grad = np.asarray(grad)
-    if grad.shape == shape:
-        return grad
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, size in enumerate(shape):
-        if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
+Scalar = Any  # float | np.ndarray | Dual
 
 
-class Var:
-    """One node of the reverse-mode computation record."""
+class Dual:
+    """First-order forward-mode number: a value and its tangents along T
+    seeded inputs, stacked on a leading axis of ``d`` (shape (T, ...)).
 
-    __slots__ = ("data", "grad", "_parents", "_vjp")
+    Tangent rows broadcast against the value, so a seed may be a one-hot
+    column of shape (T, 1); a constant operand carries no tangent. Values
+    take the same numpy operations, in the same order, as on plain arrays.
+    """
+
+    __slots__ = ("value", "d")
 
     # make numpy defer to our reflected operators instead of broadcasting
     __array_ufunc__ = None
     __array_priority__ = 1000
 
-    def __init__(self, data, _parents=(), _vjp=None):
-        self.data = np.asarray(data, dtype=float)
-        self.grad = None
-        self._parents = _parents
-        self._vjp = _vjp
+    def __init__(self, value, d):
+        self.value = value
+        self.d = d
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def T(self) -> "Var":
-        return transpose(self)
-
-    def __repr__(self):
-        return f"Var({self.data!r})"
-
-    # -- arithmetic ----------------------------------------------------
+    def __getitem__(self, key):  # a key led by Ellipsis indexes value and tangents alike
+        return Dual(self.value[key], self.d[key])
 
     def __add__(self, other):
-        if isinstance(other, Var):
-            return Var(
-                self.data + other.data,
-                (self, other),
-                lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)),
-            )
-        c = np.asarray(other, dtype=float)
-        return Var(self.data + c, (self,), lambda g: (_unbroadcast(g, self.shape),))
+        if isinstance(other, Dual):
+            return Dual(self.value + other.value, self.d + other.d)
+        return Dual(self.value + other, self.d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, Var):
-            return Var(
-                self.data - other.data,
-                (self, other),
-                lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)),
-            )
-        c = np.asarray(other, dtype=float)
-        return Var(self.data - c, (self,), lambda g: (_unbroadcast(g, self.shape),))
+        if isinstance(other, Dual):
+            return Dual(self.value - other.value, self.d - other.d)
+        return Dual(self.value - other, self.d)
 
     def __rsub__(self, other):
-        c = np.asarray(other, dtype=float)
-        return Var(c - self.data, (self,), lambda g: (_unbroadcast(-g, self.shape),))
+        return Dual(other - self.value, -self.d)
+
+    def __neg__(self):
+        return Dual(-self.value, -self.d)
 
     def __mul__(self, other):
-        if isinstance(other, Var):
-            return Var(
-                self.data * other.data,
-                (self, other),
-                lambda g: (
-                    _unbroadcast(g * other.data, self.shape),
-                    _unbroadcast(g * self.data, other.shape),
-                ),
-            )
-        c = np.asarray(other, dtype=float)
-        return Var(self.data * c, (self,), lambda g: (_unbroadcast(g * c, self.shape),))
+        if isinstance(other, Dual):
+            return Dual(self.value * other.value, self.d * other.value + other.d * self.value)
+        return Dual(self.value * other, self.d * other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, Var):
-            return Var(
-                self.data / other.data,
-                (self, other),
-                lambda g: (
-                    _unbroadcast(g / other.data, self.shape),
-                    _unbroadcast(-g * self.data / other.data**2, other.shape),
-                ),
-            )
-        c = np.asarray(other, dtype=float)
-        return Var(self.data / c, (self,), lambda g: (_unbroadcast(g / c, self.shape),))
+        if isinstance(other, Dual):
+            value = self.value / other.value
+            return Dual(value, (self.d - other.d * value) / other.value)
+        return Dual(self.value / other, self.d / other)
 
     def __rtruediv__(self, other):
-        c = np.asarray(other, dtype=float)
-        return Var(
-            c / self.data,
-            (self,),
-            lambda g: (_unbroadcast(-g * c / self.data**2, self.shape),),
-        )
-
-    def __neg__(self):
-        return Var(-self.data, (self,), lambda g: (_unbroadcast(-g, self.shape),))
+        value = other / self.value
+        return Dual(value, self.d * (-value / self.value))
 
     def __pow__(self, n):
         if not isinstance(n, int):
-            raise ConfigError("Var.__pow__ supports integer exponents only")
-        return Var(
-            self.data**n,
-            (self,),
-            lambda g: (_unbroadcast(g * n * self.data ** (n - 1), self.shape),),
-        )
-
-    def __matmul__(self, other):
-        if isinstance(other, Var):
-            return Var(
-                self.data @ other.data,
-                (self, other),
-                lambda g: (g @ other.data.T, self.data.T @ g),
-            )
-        c = np.asarray(other, dtype=float)
-        return Var(self.data @ c, (self,), lambda g: (g @ c.T,))
-
-    def __rmatmul__(self, other):
-        c = np.asarray(other, dtype=float)
-        return Var(c @ self.data, (self,), lambda g: (c.T @ g,))
-
-    def __getitem__(self, key):
-        keys = key if isinstance(key, tuple) else (key,)
-        fancy = any(isinstance(k, (np.ndarray, list)) for k in keys)
-
-        def vjp(g):
-            out = np.zeros_like(self.data)
-            if fancy:  # an index array may repeat an entry; += would add it once
-                np.add.at(out, key, g)
-            else:
-                out[key] += g
-            return (out,)
-
-        return Var(self.data[key], (self,), vjp)
-
-    # -- reductions / shape --------------------------------------------
-
-    def sum(self) -> "Var":
-        return Var(
-            self.data.sum(),
-            (self,),
-            lambda g: (np.full(self.shape, g),),
-        )
-
-    def mean(self) -> "Var":
-        n = self.data.size
-        return Var(
-            self.data.mean(),
-            (self,),
-            lambda g: (np.full(self.shape, g / n),),
-        )
-
-    def reshape(self, shape) -> "Var":
-        old = self.shape
-        return Var(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
-
-    # -- reverse pass ---------------------------------------------------
-
-    def backward(self) -> set:
-        """Accumulate gradients into every reachable node; returns the set
-        of visited nodes. The objective must be scalar."""
-        if self.data.shape != ():
-            raise StructuralError("backward() requires a scalar objective")
-        order: list[Var] = []
-        visited: set[Var] = set()  # by identity: Var defines no __eq__
-        stack: list[tuple[Var, bool]] = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                order.append(node)
-                continue
-            if node in visited:
-                continue
-            visited.add(node)
-            stack.append((node, True))
-            for p in node._parents:
-                if p not in visited:
-                    stack.append((p, False))
-        self.grad = np.ones(())
-        for node in reversed(order):
-            if node._vjp is None or node.grad is None:
-                continue
-            for parent, g in zip(node._parents, node._vjp(node.grad)):
-                if g is None:
-                    continue
-                parent.grad = g if parent.grad is None else parent.grad + g
-        return visited
+            raise ConfigError("Dual.__pow__ supports integer exponents only")
+        return Dual(self.value**n, self.d * (n * self.value ** (n - 1)))
 
 
-def _var_unary(x: Var, value: np.ndarray, dfdx: np.ndarray) -> Var:
-    return Var(value, (x,), lambda g: (_unbroadcast(g * dfdx, x.shape),))
-
-
-def transpose(x: Var) -> Var:
-    return Var(x.data.T, (x,), lambda g: (g.T,))
+def _chain(x: Dual, value, dfdx) -> Dual:
+    return Dual(value, x.d * dfdx)
 
 
 # ---------------------------------------------------------------------
@@ -282,17 +146,6 @@ class Jet2:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _as_jet(other)
-        _check_nonzero(o.value)
-        value = self.value / o.value
-        d1 = (self.d1 - value * o.d1) / o.value
-        d2 = (self.d2 - 2.0 * d1 * o.d1 - value * o.d2) / o.value if _carried(self, o) else None
-        return Jet2(value, d1, d2)
-
-    def __rtruediv__(self, other):
-        return _as_jet(other).__truediv__(self)
-
     def __neg__(self):
         return Jet2(-self.value, -self.d1, -self.d2 if _carried(self) else None)
 
@@ -315,21 +168,15 @@ def _as_jet(x) -> Jet2:
     return Jet2(x, 0.0, 0.0)
 
 
-def _check_nonzero(value):
-    data = value.data if isinstance(value, Var) else value
-    if np.any(np.asarray(data) == 0.0):
-        raise DomainError("division by a jet with zero value")
-
-
 # ---------------------------------------------------------------------
 # Type-dispatched elementary functions
 # ---------------------------------------------------------------------
 
 
 def exp(x):
-    if isinstance(x, Var):
-        e = np.exp(x.data)
-        return _var_unary(x, e, e)
+    if isinstance(x, Dual):
+        e = np.exp(x.value)
+        return _chain(x, e, e)
     if isinstance(x, Jet2):
         e = exp(x.value)
         return Jet2(e, e * x.d1, e * (x.d1 * x.d1 + x.d2) if _carried(x) else None)
@@ -337,9 +184,6 @@ def exp(x):
 
 
 def tanh(x):
-    if isinstance(x, Var):
-        t = np.tanh(x.data)
-        return _var_unary(x, t, 1.0 - t * t)
     if isinstance(x, Jet2):
         t = tanh(x.value)
         sech2 = 1.0 - t * t
@@ -349,8 +193,8 @@ def tanh(x):
 
 
 def sin(x):
-    if isinstance(x, Var):
-        return _var_unary(x, np.sin(x.data), np.cos(x.data))
+    if isinstance(x, Dual):
+        return _chain(x, np.sin(x.value), np.cos(x.value))
     if isinstance(x, Jet2):
         s, c = sin(x.value), cos(x.value)
         return Jet2(s, c * x.d1, -s * x.d1 * x.d1 + c * x.d2 if _carried(x) else None)
@@ -358,8 +202,8 @@ def sin(x):
 
 
 def cos(x):
-    if isinstance(x, Var):
-        return _var_unary(x, np.cos(x.data), -np.sin(x.data))
+    if isinstance(x, Dual):
+        return _chain(x, np.cos(x.value), -np.sin(x.value))
     if isinstance(x, Jet2):
         s, c = sin(x.value), cos(x.value)
         return Jet2(c, -s * x.d1, -c * x.d1 * x.d1 - s * x.d2 if _carried(x) else None)
@@ -367,8 +211,8 @@ def cos(x):
 
 
 def log(x):
-    if isinstance(x, Var):
-        return _var_unary(x, np.log(x.data), 1.0 / x.data)
+    if isinstance(x, Dual):
+        return _chain(x, np.log(x.value), 1.0 / x.value)
     if isinstance(x, Jet2):
         d1 = x.d1 / x.value
         return Jet2(log(x.value), d1, x.d2 / x.value - d1 * d1 if _carried(x) else None)
@@ -377,8 +221,8 @@ def log(x):
 
 def softplus(x):
     """log(1 + exp(x)), overflow-safe for large |x|."""
-    if isinstance(x, Var):
-        return _var_unary(x, np.logaddexp(0.0, x.data), expit(x.data))
+    if isinstance(x, Dual):
+        return _chain(x, np.logaddexp(0.0, x.value), expit(x.value))
     if isinstance(x, Jet2):
         sig = sigmoid(x.value)
         return Jet2(
@@ -390,9 +234,9 @@ def softplus(x):
 
 
 def sigmoid(x):
-    if isinstance(x, Var):
-        s = expit(x.data)
-        return _var_unary(x, s, s * (1.0 - s))
+    if isinstance(x, Dual):
+        s = expit(x.value)
+        return _chain(x, s, s * (1.0 - s))
     if isinstance(x, Jet2):
         s = sigmoid(x.value)
         ds = s * (1.0 - s)
@@ -402,36 +246,12 @@ def sigmoid(x):
 
 
 def absolute(x):
-    if isinstance(x, Var):
-        return _var_unary(x, np.abs(x.data), np.sign(x.data))
+    if isinstance(x, Dual):
+        return _chain(x, np.abs(x.value), np.sign(x.value))
     return np.abs(x)
 
 
 def lgamma(x):
-    if isinstance(x, Var):
-        return _var_unary(x, gammaln(x.data), digamma(x.data))
+    if isinstance(x, Dual):
+        return _chain(x, gammaln(x.value), digamma(x.value))
     return gammaln(x)
-
-
-# ---------------------------------------------------------------------
-# Gradients of recorded objectives
-# ---------------------------------------------------------------------
-
-
-def grad_params(objective: Var, params: Sequence[Var]) -> np.ndarray:
-    """Flat reverse-mode gradient of a recorded scalar objective.
-
-    The returned vector concatenates d(objective)/d(p) for each entry of
-    `params` in order (row-major within each array), matching the canonical
-    parameter ordering used by the network module.
-    """
-    if not isinstance(objective, Var):
-        raise StructuralError("objective is not part of a computation record")
-    visited = objective.backward()
-    pieces = []
-    for p in params:
-        if p not in visited:
-            raise StructuralError("parameter was never recorded in the objective")
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        pieces.append(np.asarray(g, dtype=float).ravel())
-    return np.concatenate(pieces) if pieces else np.zeros(0)

@@ -13,11 +13,11 @@ class ConfigError(DeuqError, ValueError):
 
 
 class StructuralError(DeuqError, ValueError):
-    """Shape mismatch, grid mismatch, or misuse of a computation record."""
+    """Shape mismatch, grid mismatch, or misuse of a jet kernel or a jet."""
 
 
 class DomainError(DeuqError, ValueError):
-    """Mathematical domain violation (division by zero, alpha <= 1, ...)."""
+    """Mathematical domain violation (a singular NLM precision, alpha <= 1, ...)."""
 
 
 class DivergenceError(DeuqError, RuntimeError):

@@ -51,12 +51,6 @@ def in_train_mask(grid: np.ndarray, train_domain: Sequence[Interval]) -> np.ndar
     return mask
 
 
-def inflation_ratio(band: PredictiveBand, train_domain: Sequence[Interval],
-                    extrap_domain: Sequence[Interval]) -> float:
-    """Mean std strictly outside the training domain over mean std inside."""
-    return _std_split(band.std, *_split(band.grid, train_domain, extrap_domain))[2]
-
-
 def rmse(values: np.ndarray, reference: np.ndarray) -> float:
     """Root mean squared deviation between two equal-length vectors."""
     values = np.asarray(values, dtype=float)

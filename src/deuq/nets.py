@@ -9,8 +9,10 @@ which every gradient-based routine in the package relies on.
 Every fit trains on ``JetKernel``, a fused Taylor-mode pass with a
 hand-derived backward; the stage-two heads seed no input direction, so
 theirs carries values only, and it holds flipout's rank-one sign-flip
-term too. No fit records a network on the tape. ``hidden`` and
-``evaluate`` are the plain value pass on fixed weights.
+term too. Each trainer's loss hands ``backward`` the cotangent of the
+output streams, and the backward pass is the whole gradient: nothing is
+recorded on a tape. ``hidden`` and ``evaluate`` are the plain value pass
+on fixed weights.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit
 
-from .autodiff import Var
 from .errors import ConfigError, StructuralError
 
 
@@ -286,7 +287,6 @@ class JetKernel:
         self._net = MLPParams.from_flat(config, self._params)  # per-layer views
         self._grads = MLPParams.from_flat(config, self._grad)
         self._delta = self._flip = None
-        self._generation = 0
 
     def stream(self, direction: int, order: int) -> int:
         """Index of the derivative of the given order along a seeded
@@ -327,7 +327,6 @@ class JetKernel:
     def forward(self, flat: np.ndarray, delta: np.ndarray | None = None,
                 signs: tuple | None = None) -> np.ndarray:
         """Output streams for a flat parameter vector, shape (S, n, output_dim)."""
-        self._generation += 1
         m, q = self._m, self._q
         self._params[...] = flat
         self._flip, self._signs = self._perturbation(delta, signs), signs
@@ -353,9 +352,10 @@ class JetKernel:
             prev = h
         return self._out.copy()
 
-    def backward(self, g: np.ndarray) -> tuple:
-        """Flat gradients to the parameters and (after a perturbed pass) to Δ,
-        given the cotangent of the output streams of the latest ``forward``."""
+    def backward(self, g: np.ndarray):
+        """Flat gradient to the parameters, given the cotangent of the output
+        streams of the latest ``forward``; after a perturbed pass, the pair
+        of it and the flat gradient to Δ."""
         m, q = self._m, self._q
         weights, grads = self._net.weights, self._grads
         g = np.ascontiguousarray(g, dtype=float)
@@ -403,21 +403,12 @@ class JetKernel:
                 G[1 + m :] *= d[0]
             g = G
         if self._flip is None:
-            return (self._grad.copy(),)
+            return self._grad.copy()
         return self._grad.copy(), (self._grad if self._signs is None else self._dgrad).copy()
 
-    def apply(self, flat: Var, delta: Var | None = None, signs: tuple | None = None) -> Var:
-        """The kernel as one node of the reverse-mode record, on the
-        parameter leaf and the perturbation's node, if given."""
-        out = self.forward(flat.data, None if delta is None else delta.data, signs)
-        generation = self._generation
 
-        def vjp(g):
-            if generation != self._generation:
-                raise StructuralError("the jet kernel ran forward again before this backward pass")
-            return self.backward(g)
-
-        return Var(out, (flat,) if delta is None else (flat, delta), vjp)
+# the backward pass under the name every trainer calls it by
+grad_params = JetKernel.backward
 
 
 def hidden(params: MLPParams, points: np.ndarray) -> np.ndarray:

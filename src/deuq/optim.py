@@ -55,8 +55,8 @@ def fit(loss_and_grad: Callable[[np.ndarray], tuple[float, Callable[[], np.ndarr
     ``loss_and_grad(x)`` returns the loss at x and a function that returns
     its gradient, taken only when a step needs it (never for the returned
     vector). Each evaluation is dropped only once the next one has
-    been built, before that one's gradient is taken, so the freed record
-    serves the backward pass instead of going back to the system and
+    been built, before that one's gradient is taken, so the arrays it frees
+    serve the backward pass instead of going back to the system and
     being faulted in again (on the Burgers NLM fit, dropping it earlier
     gave 2.9k instead of 0.9k minor page faults and twice the time per
     epoch).

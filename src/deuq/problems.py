@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg import get_lapack_funcs
 
-from .autodiff import Jet2, Var, exp, sin
+from .autodiff import Jet2, exp, sin
 from .errors import ConfigError, OracleError, StructuralError
 
 Interval = tuple[float, float]
@@ -114,13 +113,6 @@ def residual(problem: ProblemSpec, u: Mapping[int, Sequence[Jet2]], point) -> li
             )
         seen[d] = u[d] if order == 2 else [FirstOrder(j.value, j.d1) for j in u[d]]
     return problem.residual_fn(problem.coefficients, seen, point)
-
-
-def enforce(u_raw: Sequence[Jet2], input_jets: Sequence[Jet2], transform: Transform) -> list[Jet2]:
-    """Apply u ~> A + B * u with jets propagated through A and B analytically."""
-    a = transform.A(input_jets)
-    b = transform.B(input_jets)
-    return [a_k + b_k * u_k for a_k, b_k, u_k in zip(a, b, u_raw)]
 
 
 def transform_values(transform: Transform, points: np.ndarray, n_outputs: int) -> tuple[np.ndarray, np.ndarray]:
@@ -471,13 +463,27 @@ def _memoized(key: tuple, solve: Callable):
     return _reference_memo[key]
 
 
+def _bilinear(t: np.ndarray, x: np.ndarray, u: np.ndarray, tq: np.ndarray,
+              xq: np.ndarray) -> np.ndarray:
+    """Linear interpolation of u (on the t x x grid) at the points (tq, xq),
+    with the cell search, distances and corner sum that scipy's
+    RegularGridInterpolator uses, so the values agree bit for bit."""
+    def cell(g, q):
+        i = np.clip(np.searchsorted(g, q, side="right") - 1, 0, g.size - 2)
+        return i, (q - g[i]) / (g[i + 1] - g[i])
+
+    (i, y0), (j, y1) = cell(t, tq), cell(x, xq)
+    return (u[i, j] * (1 - y0) * (1 - y1) + u[i, j + 1] * (1 - y0) * y1
+            + u[i + 1, j] * y0 * (1 - y1) + u[i + 1, j + 1] * y0 * y1)
+
+
 def reference_solution(problem: ProblemSpec, grid: np.ndarray,
                        rk4_step: float = 1e-3) -> np.ndarray:
     """Reference values on (n, input_dim) grid points, one column per output,
     as a fresh array.
 
     linear_ode is analytic; duffing and lotka_volterra use RK4; burgers uses
-    a fine-grid Crank-Nicolson solve with linear interpolation. The RK4
+    a fine-grid Crank-Nicolson solve with bilinear interpolation. The RK4
     paths and the Crank-Nicolson field are memoized per process.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -517,7 +523,7 @@ def reference_solution(problem: ProblemSpec, grid: np.ndarray,
         (xl, xr), t_end = problem.train_domain[0], problem.extrap_domain[1][1]
         x, t, u = _memoized((problem.name, coeff_key, xl, xr, t_end),
                             lambda: _crank_nicolson_burgers(c["visc"], xl, xr, t_end))
-        return RegularGridInterpolator((t, x), u)(grid[:, [1, 0]]).reshape(-1, 1)
+        return _bilinear(t, x, u, grid[:, 1], grid[:, 0]).reshape(-1, 1)
     raise ConfigError(f"no reference solver for {problem.name!r}")
 
 

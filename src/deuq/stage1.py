@@ -4,6 +4,10 @@ Trains a dense network on collocation points so that the enforced solution
 u~ = A + B * net drives the residual operator to zero, then evaluates u~ on
 a dense grid. That grid of (point, value) pairs is the observed dataset the
 stage-two probabilistic regressors consume.
+
+Each epoch is one pass of the network's jet kernel, the residual loss in
+forward mode on its output streams (which gives the loss and the streams'
+cotangent together) and the kernel's backward pass from that cotangent.
 """
 
 from __future__ import annotations
@@ -17,8 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from . import nets, problems
-from .autodiff import Jet2, Var, grad_params
+from .autodiff import Dual, Jet2
 from .errors import ConfigError
+from .nets import grad_params
 from .optim import fit
 
 _SAMPLERS = ("equispaced", "uniform_random", "equispaced_jitter")
@@ -91,33 +96,48 @@ def jet_kernel(problem: problems.ProblemSpec, config: nets.MLPConfig,
     return nets.JetKernel(config, points, np.eye(problem.input_dim), problem.derivative_orders)
 
 
-def residual_loss(problem: problems.ProblemSpec, kernel: nets.JetKernel, flat: Var) -> Var:
-    """Mean over collocation points of the summed squared residuals of the
-    enforced solution, recorded on the tape of the flat parameter leaf.
-
-    The network is one kernel node; enforcement, the residual and the mean
-    run on jets over the tape, on (n,) columns of the kernel's output.
-    """
-    streams = kernel.apply(flat)
-    points = kernel.points
-    values = [streams[0, :, k] for k in range(problem.n_outputs)]
-    u_by_dir = {}
+def enforcement_jets(problem: problems.ProblemSpec, points: np.ndarray) -> dict:
+    """Per direction the residual reads: the jets of A and B on the
+    collocation points, to the order declared along it. They do not
+    depend on the weights, so a fit builds them once."""
+    jets = {}
     for d, order in enumerate(problem.derivative_orders):
         if order == 0:
             continue
         second = order == 2
-        raw = [Jet2(values[k], streams[kernel.stream(d, 1), :, k],
-                    streams[kernel.stream(d, 2), :, k] if second else None)
-               for k in range(problem.n_outputs)]
         in_jets = [Jet2(points[:, i], 1.0 if i == d else 0.0, 0.0 if second else None)
                    for i in range(problem.input_dim)]
-        u_by_dir[d] = problems.enforce(raw, in_jets, problem.transform)
-    point_cols = tuple(points[:, i] for i in range(problem.input_dim))
-    loss = None
+        jets[d] = (problem.transform.A(in_jets), problem.transform.B(in_jets))
+    return jets
+
+
+def residual_loss(problem: problems.ProblemSpec, kernel: nets.JetKernel, flat: np.ndarray,
+                  enforcement: dict) -> tuple[float, np.ndarray]:
+    """Mean over collocation points of the summed squared residuals of the
+    enforced solution, and its cotangent on the kernel's output streams.
+
+    Every (stream, output) column of the kernel's output enters as a Dual
+    with a tangent of its own, so each residual component r_c comes out
+    with its derivative along every stream at its point; the cotangent is
+    the sum over c of (2/n) r_c dr_c/dstreams. Enforcement and the
+    residual run on jets of duals, with A and B from ``enforcement_jets``.
+    """
+    streams = kernel.forward(flat)
+    S, n, K = streams.shape
+    seeds = np.eye(S * K).reshape(S, K, S * K, 1)  # one-hot tangent columns
+    col = [[Dual(streams[s, :, k], seeds[s, k]) for k in range(K)] for s in range(S)]
+    u_by_dir = {}
+    for d, (a, b) in enforcement.items():
+        second = problem.derivative_orders[d] == 2
+        raw = [Jet2(col[0][k], col[kernel.stream(d, 1)][k],
+                    col[kernel.stream(d, 2)][k] if second else None) for k in range(K)]
+        u_by_dir[d] = [a_k + b_k * u_k for a_k, b_k, u_k in zip(a, b, raw)]
+    point_cols = tuple(kernel.points[:, i] for i in range(problem.input_dim))
+    loss, cotangent = 0.0, 0.0
     for r in problems.residual(problem, u_by_dir, point_cols):
-        term = (r * r).mean()
-        loss = term if loss is None else loss + term
-    return loss
+        loss = loss + (r.value * r.value).mean()
+        cotangent = cotangent + (2.0 / n) * r.value * r.d
+    return float(loss), cotangent.reshape(S, K, n).transpose(0, 2, 1)
 
 
 def train_deterministic(problem: problems.ProblemSpec, net_config: nets.MLPConfig,
@@ -132,13 +152,13 @@ def train_deterministic(problem: problems.ProblemSpec, net_config: nets.MLPConfi
         problem.train_domain, train_config.n_collocation,
         train_config.sampler, train_config.seed,
     )
-    # the kernel's workspace lives for this fit only
+    # the kernel's workspace and the enforcement jets live for this fit only
     kernel = jet_kernel(problem, net_config, points)
+    enforcement = enforcement_jets(problem, points)
 
     def loss_and_grad(flat_vec):
-        leaf = Var(flat_vec)
-        loss = residual_loss(problem, kernel, leaf)
-        return float(loss.data), lambda: grad_params(loss, [leaf])
+        loss, cotangent = residual_loss(problem, kernel, flat_vec, enforcement)
+        return loss, lambda: grad_params(kernel, cotangent)
 
     flat, history = fit(
         loss_and_grad, nets.init(net_config).flat(), train_config.learning_rate,

@@ -4,8 +4,9 @@ A four-channel network output parametrizes the NIG hyperparameters
 (gamma, nu, alpha, beta); maximizing the analytic model evidence (a
 Student-t marginal) plus an evidence penalty on wrong predictions trains
 them directly, with no weight sampling. The same loss expression runs on
-plain numbers and on tape nodes, so hand-value checks exercise the exact
-code the trainer differentiates.
+plain numbers and on ``Dual`` numbers seeded with the four channels, so
+hand-value checks exercise the exact code the trainer differentiates, and
+the trainer gets the loss and its cotangent on the channels in one pass.
 
 Like the other stage-two methods, the fit sees the stage-one solution as
 data observed with a fixed Gaussian scale ``eps``. The NIG head carries
@@ -26,8 +27,9 @@ from typing import Any
 import numpy as np
 
 from .. import nets
-from ..autodiff import Var, absolute, grad_params, lgamma, log, softplus
+from ..autodiff import Dual, absolute, lgamma, log, softplus
 from ..errors import ConfigError, DomainError
+from ..nets import grad_params
 from ..optim import fit
 from .common import LikelihoodSpec, OptConfig, dataset_arrays, enforced_head_values
 
@@ -46,7 +48,7 @@ class EvidentialOutput:
 def der_head(raw) -> EvidentialOutput:
     """Map raw 4-channel output(s) to valid NIG hyperparameters.
 
-    ``raw`` may be a length-4 vector, an (n, 4) array, or a Var with a
+    ``raw`` may be a length-4 vector, an (n, 4) array, or a Dual with a
     trailing axis of size 4.
     """
     return EvidentialOutput(
@@ -126,22 +128,23 @@ def der_train(dataset, net_config: nets.MLPConfig, lam: float,
         raise ConfigError("every dataset point sits on a condition surface")
     x0 = np.array(init_params, dtype=float) if init_params is not None else nets.init(net_config).flat()
     kernel = nets.JetKernel(net_config, X, np.zeros((0, X.shape[1])), ())  # values only
+    channels = np.eye(4)[:, None, :]  # one tangent per channel, on every point
 
     def loss_and_grad(flat):
-        leaf = Var(flat)
-        raw = kernel.apply(leaf)[0]
-        loss = None
+        raw = kernel.forward(flat)[0]
+        loss, cotangent = 0.0, np.zeros((1, *raw.shape))
         for k in range(n_outputs):
             idx = keep[k]
-            head = _scale_floor(der_head(raw[idx, 4 * k : 4 * k + 4]), like.eps)
+            head = _scale_floor(der_head(Dual(raw[idx, 4 * k : 4 * k + 4], channels)), like.eps)
             head = EvidentialOutput(
                 gamma=A[idx, k] + B[idx, k] * head.gamma,
                 nu=head.nu, alpha=head.alpha,
                 beta=B[idx, k] ** 2 * head.beta,
             )
-            term = der_loss(head, Y[idx, k], lam).mean()
-            loss = term if loss is None else loss + term
-        return float(loss.data), lambda: grad_params(loss, [leaf])
+            nll = der_loss(head, Y[idx, k], lam)
+            loss = loss + nll.value.mean()
+            cotangent[0, idx, 4 * k : 4 * k + 4] = (nll.d / idx.size).T
+        return float(loss), lambda: grad_params(kernel, cotangent)
 
     flat, history = fit(
         loss_and_grad, x0, opt_config.learning_rate, opt_config.epochs,

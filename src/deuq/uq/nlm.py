@@ -11,10 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .. import nets
-from ..autodiff import Var, grad_params
-from ..errors import ConfigError, StructuralError
+from ..errors import ConfigError, DomainError, StructuralError
+from ..nets import grad_params
 from ..optim import fit
 from .common import OptConfig, dataset_arrays, enforced_head_values
 
@@ -36,7 +37,9 @@ class NLMPosterior:
 def nlm_fit(features: np.ndarray, targets: np.ndarray, eps: float,
             prior_std: float) -> NLMPosterior:
     """Conjugate Gaussian regression: cov = (I/prior_std^2 + Phi^T Phi/eps^2)^-1,
-    mean = cov Phi^T y / eps^2. With no rows the posterior equals the prior."""
+    mean = cov Phi^T y / eps^2. With no rows the posterior equals the prior.
+    The precision is inverted through its Cholesky factor; a precision that
+    is not positive definite in floating point raises DomainError."""
     if eps <= 0.0 or prior_std <= 0.0:
         raise ConfigError("eps and prior_std must be positive")
     features = np.asarray(features, dtype=float)
@@ -49,7 +52,11 @@ def nlm_fit(features: np.ndarray, targets: np.ndarray, eps: float,
         raise StructuralError("features and targets must be finite")
     d = features.shape[1]
     precision = np.eye(d) / prior_std**2 + features.T @ features / eps**2
-    cov = np.linalg.inv(precision)
+    try:
+        factor = cho_factor(precision)
+    except np.linalg.LinAlgError:
+        raise DomainError("NLM posterior precision is not positive definite") from None
+    cov = cho_solve(factor, np.eye(d))
     cov = (cov + cov.T) / 2.0
     mean = cov @ (features.T @ targets) / eps**2
     return NLMPosterior(None, mean, cov)
@@ -63,7 +70,8 @@ def feature_map(params: nets.MLPParams, points: np.ndarray) -> np.ndarray:
 
 def train_feature_net(dataset, net_config: nets.MLPConfig, opt_config: OptConfig,
                       problem=None, init_params=None) -> nets.MLPParams:
-    """Fit the extractor by mean squared error through the enforced head.
+    """Fit the extractor by mean squared error through the enforced head;
+    the error's cotangent on the head's output is (2/n) err B.
 
     The returned params carry the ``loss_history`` of ``optim.fit``. A
     non-finite objective raises DivergenceError with the last finite params
@@ -73,12 +81,11 @@ def train_feature_net(dataset, net_config: nets.MLPConfig, opt_config: OptConfig
     A, B = enforced_head_values(problem, X, net_config.output_dim)
     x0 = np.array(init_params, dtype=float) if init_params is not None else nets.init(net_config).flat()
     kernel = nets.JetKernel(net_config, X, np.zeros((0, X.shape[1])), ())  # values only
+    scale = 2.0 / Y.size
 
     def loss_and_grad(flat):
-        leaf = Var(flat)
-        out = kernel.apply(leaf)[0]
-        loss = ((A + B * out - Y) ** 2).mean()
-        return float(loss.data), lambda: grad_params(loss, [leaf])
+        err = A + B * kernel.forward(flat)[0] - Y
+        return float((err**2).mean()), lambda: grad_params(kernel, (scale * err * B)[None])
 
     flat, history = fit(
         loss_and_grad, x0, opt_config.learning_rate, opt_config.epochs,

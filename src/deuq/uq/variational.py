@@ -9,8 +9,11 @@ whose layers take Δ = sigma o eps in the decomposed form
     y = h @ mu_W^T + ((h o S) @ Δ_W^T) o R + mu_b + Δ_b o R
 
 so forcing all signs to +1 reproduces the shared scheme arithmetic exactly,
-floating point included; only the likelihood and the KL are on the tape.
-Sign draws come from their own RNG stream for the same reason.
+floating point included; sign draws come from their own RNG stream for the
+same reason, and both schemes take one path through the closed-form
+gradient: the likelihood's cotangent on the output is B (pred - y) / eps^2,
+the KL adds mu / s^2 to mu's gradient and -1/sigma + sigma / s^2 to sigma's,
+and sigma's reaches rho through expit(rho).
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import expit
 
 from .. import nets
-from ..autodiff import Var, grad_params, log, softplus
 from ..errors import ConfigError, StructuralError
+from ..nets import grad_params
 from ..optim import fit
 from .common import GaussianPrior, LikelihoodSpec, OptConfig, dataset_arrays, enforced_head_values
 
@@ -80,8 +84,8 @@ def _variational_train(dataset, net_config, like, prior, opt_config, signs: str 
     unit = tuple(np.ones((n_points, k)) for k in dims) if signs == "unit" else None
     kernel = nets.JetKernel(net_config, X, np.zeros((0, X.shape[1])), ())
 
-    mu = np.array(init_mu, dtype=float) if init_mu is not None else nets.init(net_config).flat()
-    if mu.size != P:
+    mu0 = np.array(init_mu, dtype=float) if init_mu is not None else nets.init(net_config).flat()
+    if mu0.size != P:
         raise ConfigError("init_mu length does not match the parameter count")
     ss = np.random.SeedSequence(opt_config.seed)
     noise_rng, sign_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
@@ -92,20 +96,25 @@ def _variational_train(dataset, net_config, like, prior, opt_config, signs: str 
         # step draws once more, and that draw moves no weight
         eps_hat = noise_rng.standard_normal(P)
         flips = unit
-        if signs == "random":  # R, then S
-            flips = tuple(sign_rng.integers(0, 2, size=(n_points, k)) * 2.0 - 1.0 for k in dims)
+        if signs == "random":  # R, then S: one random bit per sign, drawn a byte at a time
+            flips = tuple(np.unpackbits(sign_rng.integers(0, 256, (n_points, -(-k // 8)), np.uint8),
+                                        axis=1, count=k) * 2.0 - 1.0 for k in dims)
 
-        mu_v, rho_v = Var(packed[:P]), Var(packed[P:])
-        sigma_v = softplus(rho_v)
-        out = kernel.apply(mu_v, sigma_v * eps_hat, flips)[0]
-        pred = A + B * out
-        nll = ((pred - Y) ** 2).sum() / (2.0 * like.eps**2) + const_nll
-        kl = (log(prior.std / sigma_v) + (sigma_v**2 + mu_v**2) / (2.0 * prior.std**2) - 0.5).sum()
-        loss = kl + nll
-        return float(loss.data), lambda: grad_params(loss, [mu_v, rho_v])
+        mu, rho = packed[:P], packed[P:]
+        sigma = softplus_sigma(rho)
+        err = A + B * kernel.forward(mu, sigma * eps_hat, flips)[0] - Y
+        nll = (err**2).sum() / (2.0 * like.eps**2) + const_nll
+        kl = (np.log(prior.std / sigma) + (sigma**2 + mu**2) / (2.0 * prior.std**2) - 0.5).sum()
+
+        def gradient():
+            g_mu, g_delta = grad_params(kernel, (err * B / like.eps**2)[None])
+            g_sigma = g_delta * eps_hat - 1.0 / sigma + sigma / prior.std**2
+            return np.concatenate([g_mu + mu / prior.std**2, g_sigma * expit(rho)])
+
+        return float(kl + nll), gradient
 
     packed, history = fit(
-        loss_and_grad, np.concatenate([mu, np.full(P, RHO_INIT)]),
+        loss_and_grad, np.concatenate([mu0, np.full(P, RHO_INIT)]),
         opt_config.learning_rate, opt_config.epochs, name="variational objective",
         params=lambda x: VariationalParams(net_config, x[:P], x[P:]),
     )

@@ -1,7 +1,19 @@
 """Reference implementations the tests compare the production code against.
 
-The stage-1 network once ran as generic jet arithmetic over the reverse-mode
-tape: every layer a Jet2 of Var nodes, every direction a full second-order
+The reverse-mode tape lives here and nowhere else: `Var`, a node of a
+computation record, and `grad_params`, the gradient of a recorded scalar.
+Every loss in the pipeline once ran on it; production now runs each loss
+in forward mode or in closed form and hands the cotangent of the network
+output to `deuq.nets.JetKernel.backward`. The tape stays as the oracle:
+- `kernel_node` is the jet kernel as one node of the tape, and
+  `tape_stage1_loss`, `tape_nlm_loss`, `tape_der_loss` and
+  `tape_variational_loss` are the four training losses as first written
+  on it. Production must give the same loss value and the same gradient.
+- `Var` takes numpy's ufuncs (`np.exp`, `np.tanh`, `scipy.special.expit`,
+  ...), so the dispatched functions of `deuq.autodiff` run on it unchanged.
+
+The stage-1 network once ran as generic jet arithmetic over the tape:
+every layer a Jet2 of Var nodes, every direction a full second-order
 pass. That path is slow but obviously right, so it is kept here as the
 oracle for the fused jet kernel in `deuq.nets.JetKernel`. Next to it:
 - `split_flat_var` slices a flat parameter Var into per-layer tape views;
@@ -10,7 +22,8 @@ oracle for the fused jet kernel in `deuq.nets.JetKernel`. Next to it:
 - `decomposed_forward` is the bbb/flipout network on the tape with
   per-point rank-one sign flips, the path both trained on before the
   kernel took the flip term;
-- `jet_forward` is the kernel on one point given as seeded input jets.
+- `jet_forward` is the kernel on one point given as seeded input jets;
+- `enforce` applies A + B u with A and B built from the input jets.
 
 Two small samplers sit here too, because only tests call them: the
 stage-1 dataset on a chosen grid, and one shared-noise posterior draw.
@@ -31,7 +44,7 @@ The rest are checks the pipeline never runs:
 - `flipout_perturb` materializes the per-example weights that the
   kernel's flip term never builds;
 - `kl_gaussian_diag` is the closed-form KL the variational trainer
-  records inline on the tape.
+  differentiates by hand.
 """
 
 from __future__ import annotations
@@ -41,13 +54,293 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
+from scipy.special import digamma, expit, gammaln
 
 from deuq import nets, problems, stage1
-from deuq.autodiff import Jet2, Var, exp, grad_params, sin, softplus, tanh
+from deuq.autodiff import Jet2, exp, log, sin, softplus, tanh
 from deuq.errors import ConfigError, OracleError, StructuralError
 from deuq.uq.common import GaussianPrior
+from deuq.uq.der import EvidentialOutput, _scale_floor, der_head, der_loss
 from deuq.uq.nlm import NLMPosterior, feature_map
 from deuq.uq.variational import VariationalParams, sign_dims
+
+# ---------------------------------------------------------------------
+# The reverse-mode tape
+# ---------------------------------------------------------------------
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    grad = np.asarray(grad)
+    if grad.shape == shape:
+        return grad
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
+# derivative of each recorded unary ufunc from its argument x and value y
+_UNARY = {
+    np.exp: lambda x, y: y,
+    np.tanh: lambda x, y: 1.0 - y * y,
+    np.sin: lambda x, y: np.cos(x),
+    np.cos: lambda x, y: -np.sin(x),
+    np.log: lambda x, y: 1.0 / x,
+    np.absolute: lambda x, y: np.sign(x),
+    expit: lambda x, y: y * (1.0 - y),
+    gammaln: lambda x, y: digamma(x),
+}
+_BINARY = {
+    np.add: ("__add__", "__radd__"),
+    np.subtract: ("__sub__", "__rsub__"),
+    np.multiply: ("__mul__", "__rmul__"),
+    np.true_divide: ("__truediv__", "__rtruediv__"),
+    np.matmul: ("__matmul__", "__rmatmul__"),
+}
+
+
+class Var:
+    """One node of the reverse-mode computation record."""
+
+    __slots__ = ("data", "grad", "_parents", "_vjp")
+    __array_priority__ = 1000
+
+    def __init__(self, data, _parents=(), _vjp=None):
+        self.data = np.asarray(data, dtype=float)
+        self.grad = None
+        self._parents = _parents
+        self._vjp = _vjp
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        # an array operand hands its arithmetic to our operators, and the
+        # elementary functions of deuq.autodiff record through here
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if ufunc in _BINARY:
+            a, b = inputs
+            forward, reflected = _BINARY[ufunc]
+            return getattr(a, forward)(b) if isinstance(a, Var) else getattr(b, reflected)(a)
+        if ufunc is np.logaddexp and np.array_equal(inputs[0], 0.0):  # softplus
+            x = inputs[1]
+            return _var_unary(x, np.logaddexp(0.0, x.data), expit(x.data))
+        if ufunc in _UNARY and len(inputs) == 1:
+            x = inputs[0]
+            value = ufunc(x.data)
+            return _var_unary(x, value, _UNARY[ufunc](x.data, value))
+        return NotImplemented
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def T(self) -> "Var":
+        return transpose(self)
+
+    def __repr__(self):
+        return f"Var({self.data!r})"
+
+    # -- arithmetic ----------------------------------------------------
+
+    def __add__(self, other):
+        if isinstance(other, Var):
+            return Var(
+                self.data + other.data,
+                (self, other),
+                lambda g: (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape)),
+            )
+        c = np.asarray(other, dtype=float)
+        return Var(self.data + c, (self,), lambda g: (_unbroadcast(g, self.shape),))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if isinstance(other, Var):
+            return Var(
+                self.data - other.data,
+                (self, other),
+                lambda g: (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape)),
+            )
+        c = np.asarray(other, dtype=float)
+        return Var(self.data - c, (self,), lambda g: (_unbroadcast(g, self.shape),))
+
+    def __rsub__(self, other):
+        c = np.asarray(other, dtype=float)
+        return Var(c - self.data, (self,), lambda g: (_unbroadcast(-g, self.shape),))
+
+    def __mul__(self, other):
+        if isinstance(other, Var):
+            return Var(
+                self.data * other.data,
+                (self, other),
+                lambda g: (
+                    _unbroadcast(g * other.data, self.shape),
+                    _unbroadcast(g * self.data, other.shape),
+                ),
+            )
+        c = np.asarray(other, dtype=float)
+        return Var(self.data * c, (self,), lambda g: (_unbroadcast(g * c, self.shape),))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, Var):
+            return Var(
+                self.data / other.data,
+                (self, other),
+                lambda g: (
+                    _unbroadcast(g / other.data, self.shape),
+                    _unbroadcast(-g * self.data / other.data**2, other.shape),
+                ),
+            )
+        c = np.asarray(other, dtype=float)
+        return Var(self.data / c, (self,), lambda g: (_unbroadcast(g / c, self.shape),))
+
+    def __rtruediv__(self, other):
+        c = np.asarray(other, dtype=float)
+        return Var(
+            c / self.data,
+            (self,),
+            lambda g: (_unbroadcast(-g * c / self.data**2, self.shape),),
+        )
+
+    def __neg__(self):
+        return Var(-self.data, (self,), lambda g: (_unbroadcast(-g, self.shape),))
+
+    def __pow__(self, n):
+        if not isinstance(n, int):
+            raise ConfigError("Var.__pow__ supports integer exponents only")
+        return Var(
+            self.data**n,
+            (self,),
+            lambda g: (_unbroadcast(g * n * self.data ** (n - 1), self.shape),),
+        )
+
+    def __matmul__(self, other):
+        if isinstance(other, Var):
+            return Var(
+                self.data @ other.data,
+                (self, other),
+                lambda g: (g @ other.data.T, self.data.T @ g),
+            )
+        c = np.asarray(other, dtype=float)
+        return Var(self.data @ c, (self,), lambda g: (g @ c.T,))
+
+    def __rmatmul__(self, other):
+        c = np.asarray(other, dtype=float)
+        return Var(c @ self.data, (self,), lambda g: (c.T @ g,))
+
+    def __getitem__(self, key):
+        keys = key if isinstance(key, tuple) else (key,)
+        fancy = any(isinstance(k, (np.ndarray, list)) for k in keys)
+
+        def vjp(g):
+            out = np.zeros_like(self.data)
+            if fancy:  # an index array may repeat an entry; += would add it once
+                np.add.at(out, key, g)
+            else:
+                out[key] += g
+            return (out,)
+
+        return Var(self.data[key], (self,), vjp)
+
+    # -- reductions / shape --------------------------------------------
+
+    def sum(self) -> "Var":
+        return Var(
+            self.data.sum(),
+            (self,),
+            lambda g: (np.full(self.shape, g),),
+        )
+
+    def mean(self) -> "Var":
+        n = self.data.size
+        return Var(
+            self.data.mean(),
+            (self,),
+            lambda g: (np.full(self.shape, g / n),),
+        )
+
+    def reshape(self, shape) -> "Var":
+        old = self.shape
+        return Var(self.data.reshape(shape), (self,), lambda g: (g.reshape(old),))
+
+    # -- reverse pass ---------------------------------------------------
+
+    def backward(self) -> set:
+        """Accumulate gradients into every reachable node; returns the set
+        of visited nodes. The objective must be scalar."""
+        if self.data.shape != ():
+            raise StructuralError("backward() requires a scalar objective")
+        order: list[Var] = []
+        visited: set[Var] = set()  # by identity: Var defines no __eq__
+        stack: list[tuple[Var, bool]] = [(self, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                order.append(node)
+                continue
+            if node in visited:
+                continue
+            visited.add(node)
+            stack.append((node, True))
+            for p in node._parents:
+                if p not in visited:
+                    stack.append((p, False))
+        self.grad = np.ones(())
+        for node in reversed(order):
+            if node._vjp is None or node.grad is None:
+                continue
+            for parent, g in zip(node._parents, node._vjp(node.grad)):
+                if g is None:
+                    continue
+                parent.grad = g if parent.grad is None else parent.grad + g
+        return visited
+
+
+def _var_unary(x: Var, value: np.ndarray, dfdx: np.ndarray) -> Var:
+    return Var(value, (x,), lambda g: (_unbroadcast(g * dfdx, x.shape),))
+
+
+def transpose(x: Var) -> Var:
+    return Var(x.data.T, (x,), lambda g: (g.T,))
+
+
+def grad_params(objective: Var, params: Sequence[Var]) -> np.ndarray:
+    """Flat reverse-mode gradient of a recorded scalar objective.
+
+    The returned vector concatenates d(objective)/d(p) for each entry of
+    `params` in order (row-major within each array), matching the canonical
+    parameter ordering used by the network module.
+    """
+    if not isinstance(objective, Var):
+        raise StructuralError("objective is not part of a computation record")
+    visited = objective.backward()
+    pieces = []
+    for p in params:
+        if p not in visited:
+            raise StructuralError("parameter was never recorded in the objective")
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        pieces.append(np.asarray(g, dtype=float).ravel())
+    return np.concatenate(pieces) if pieces else np.zeros(0)
+
+
+def kernel_node(kernel: nets.JetKernel, flat: Var, delta: Var | None = None,
+                signs: tuple | None = None) -> Var:
+    """The jet kernel as one node of the tape, on the parameter leaf and the
+    perturbation's node, if given; its backward pass is the kernel's."""
+    out = kernel.forward(flat.data, None if delta is None else delta.data, signs)
+    if delta is None:
+        return Var(out, (flat,), lambda g: (kernel.backward(g),))
+    return Var(out, (flat, delta), kernel.backward)
+
+
+# ---------------------------------------------------------------------
+# Networks and losses on the tape
+# ---------------------------------------------------------------------
 
 
 def rbf(x):
@@ -166,12 +459,83 @@ def tape_residual_loss(problem: problems.ProblemSpec, config: nets.MLPConfig,
         out = forward_batch(config, weights, biases, batch)
         raw = [Jet2(out.value[:, k], out.d1[:, k], out.d2[:, k])
                for k in range(problem.n_outputs)]
-        u_by_dir[direction] = problems.enforce(raw, in_jets, problem.transform)
+        u_by_dir[direction] = enforce(raw, in_jets, problem.transform)
+    return _summed_mean_squares(problems.residual(problem, u_by_dir, point_cols))
+
+
+def _summed_mean_squares(residuals) -> Var:
     loss = None
-    for r in problems.residual(problem, u_by_dir, point_cols):
+    for r in residuals:
         term = (r * r).mean()
         loss = term if loss is None else loss + term
     return loss
+
+
+def enforce(u_raw: Sequence[Jet2], input_jets: Sequence[Jet2],
+            transform: problems.Transform) -> list[Jet2]:
+    """Apply u ~> A + B * u with jets propagated through A and B analytically."""
+    a = transform.A(input_jets)
+    b = transform.B(input_jets)
+    return [a_k + b_k * u_k for a_k, b_k, u_k in zip(a, b, u_raw)]
+
+
+def tape_stage1_loss(problem: problems.ProblemSpec, kernel: nets.JetKernel, flat: Var) -> Var:
+    """The stage-1 loss as first written: the kernel one node of the tape,
+    then enforcement (A and B rebuilt on every call), the residual and the
+    mean on jets over it, on (n,) columns of the kernel's output."""
+    streams = kernel_node(kernel, flat)
+    points = kernel.points
+    values = [streams[0, :, k] for k in range(problem.n_outputs)]
+    u_by_dir = {}
+    for d, order in enumerate(problem.derivative_orders):
+        if order == 0:
+            continue
+        second = order == 2
+        raw = [Jet2(values[k], streams[kernel.stream(d, 1), :, k],
+                    streams[kernel.stream(d, 2), :, k] if second else None)
+               for k in range(problem.n_outputs)]
+        in_jets = [Jet2(points[:, i], 1.0 if i == d else 0.0, 0.0 if second else None)
+                   for i in range(problem.input_dim)]
+        u_by_dir[d] = enforce(raw, in_jets, problem.transform)
+    point_cols = tuple(points[:, i] for i in range(problem.input_dim))
+    return _summed_mean_squares(problems.residual(problem, u_by_dir, point_cols))
+
+
+def tape_nlm_loss(kernel: nets.JetKernel, flat: Var, A, B, Y) -> Var:
+    """The feature network's mean squared error through the enforced head."""
+    return ((A + B * kernel_node(kernel, flat)[0] - Y) ** 2).mean()
+
+
+def tape_der_loss(kernel: nets.JetKernel, flat: Var, A, B, Y, keep: Sequence[np.ndarray],
+                  lam: float, eps: float) -> Var:
+    """The evidential objective: per output, the mean NIG loss of the
+    floored and enforced head over the points ``keep`` holds for it."""
+    raw = kernel_node(kernel, flat)[0]
+    loss = None
+    for k, idx in enumerate(keep):
+        head = _scale_floor(der_head(raw[idx, 4 * k : 4 * k + 4]), eps)
+        head = EvidentialOutput(
+            gamma=A[idx, k] + B[idx, k] * head.gamma,
+            nu=head.nu, alpha=head.alpha,
+            beta=B[idx, k] ** 2 * head.beta,
+        )
+        term = der_loss(head, Y[idx, k], lam).mean()
+        loss = term if loss is None else loss + term
+    return loss
+
+
+def tape_variational_loss(kernel: nets.JetKernel, mu: np.ndarray, rho: np.ndarray,
+                          eps_hat: np.ndarray, signs, A, B, Y, eps: float,
+                          prior_std: float) -> tuple[Var, list]:
+    """KL(q || prior) plus the Gaussian NLL of one draw Δ = softplus(rho) o
+    eps_hat, with the signs given; returns the loss and its (mu, rho) leaves."""
+    mu_v, rho_v = Var(mu), Var(rho)
+    sigma_v = softplus(rho_v)
+    out = kernel_node(kernel, mu_v, sigma_v * eps_hat, signs)[0]
+    const_nll = 0.5 * Y.shape[0] * Y.shape[1] * np.log(2.0 * np.pi * eps**2)
+    nll = ((A + B * out - Y) ** 2).sum() / (2.0 * eps**2) + const_nll
+    kl = (log(prior_std / sigma_v) + (sigma_v**2 + mu_v**2) / (2.0 * prior_std**2) - 0.5).sum()
+    return kl + nll, [mu_v, rho_v]
 
 
 def emit_dataset(result: stage1.Stage1Result, grid_spec: int) -> list:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from deuq import experiment, metrics, nets, problems, stage1
-from deuq.autodiff import Var
+from oracles import Var
 from deuq.uq.common import GaussianPrior, LikelihoodSpec, OptConfig
 from deuq.uq.der import EvidentialOutput, der_loss, der_predictive
 from deuq.uq.nlm import nlm_fit

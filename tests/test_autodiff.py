@@ -6,18 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deuq.autodiff import (
+    Dual,
     Jet2,
-    Var,
+    absolute,
     cos,
     exp,
-    grad_params,
+    lgamma,
     log,
+    sigmoid,
     sin,
     softplus,
     tanh,
 )
-from deuq.errors import ConfigError, DomainError, StructuralError
-from oracles import central_diff_1, central_diff_2, finite_diff_check, seed_input
+from deuq.errors import ConfigError, StructuralError
+from oracles import Var, central_diff_1, central_diff_2, finite_diff_check, grad_params, seed_input
 
 safe_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -51,11 +53,6 @@ def test_jet_product_negation_and_integer_power():
     assert t * t == Jet2(9.0, 6.0, 2.0)
     assert -t == Jet2(-3.0, -1.0, 0.0)
     assert t**2 == Jet2(9.0, 6.0, 2.0)
-
-
-def test_jet_division_by_zero_value():
-    with pytest.raises(DomainError):
-        seed_input(1.0, True) / Jet2(0.0, 1.0, 0.0)
 
 
 def test_constant_jets_have_zero_derivatives():
@@ -102,8 +99,8 @@ def test_jet_chain_rule_through_composite(a, b):
 
 def test_jet_arithmetic_is_deterministic():
     t = seed_input(1.7, True)
-    one = tanh(exp(t) - t**2 / (t + 3.0))
-    two = tanh(exp(t) - t**2 / (t + 3.0))
+    one = tanh(exp(t) - t**2 * (t + 3.0))
+    two = tanh(exp(t) - t**2 * (t + 3.0))
     assert one == two
 
 
@@ -195,3 +192,53 @@ def test_softplus_log_dispatch_on_var():
 def test_var_pow_requires_int():
     with pytest.raises(ConfigError):
         Var(2.0) ** 0.5
+
+
+_DUAL_CASES = [
+    ("exp", exp, np.exp),
+    ("sin", sin, np.sin),
+    ("cos", cos, np.cos),
+    ("log", log, np.log),
+    ("softplus", softplus, lambda v: np.logaddexp(0.0, v)),
+    ("sigmoid", sigmoid, lambda v: 1.0 / (1.0 + np.exp(-v))),
+    ("absolute", absolute, np.abs),
+    ("lgamma", lgamma, lambda v: np.vectorize(math.lgamma)(v)),
+]
+
+
+@pytest.mark.parametrize("name,fn,plain", _DUAL_CASES)
+def test_dual_functions_match_finite_differences(name, fn, plain):
+    # value on the numpy path; tangent along two seeds with different scales
+    v = np.random.default_rng(1).uniform(0.3, 2.5, size=9) * np.array([1, -1, 1] * 3)
+    if name in ("log", "lgamma"):
+        v = np.abs(v)
+    out = fn(Dual(v, np.array([[1.0], [-2.0]])))
+    np.testing.assert_array_equal(out.value, fn(v))
+    fd = (plain(v + 1e-6) - plain(v - 1e-6)) / 2e-6
+    np.testing.assert_allclose(out.d, np.stack([fd, -2.0 * fd]), rtol=1e-7, atol=1e-9)
+
+
+def test_dual_arithmetic_matches_its_values_and_derivatives():
+    # f(a, b) = (a b - 3) / (a + b^2) + 2 / a - (-b)^3 on seeds a -> row 0, b -> row 1
+    a_v, b_v = np.array([0.5, 1.5, -2.0]), np.array([1.2, -0.4, 0.7])
+    a, b = Dual(a_v, np.array([[1.0], [0.0]])), Dual(b_v, np.array([[0.0], [1.0]]))
+
+    def f(x, y):
+        return (x * y - 3.0) / (x + y**2) + 2.0 / x - (-y) ** 3
+
+    out = f(a, b)
+    np.testing.assert_array_equal(out.value, f(a_v, b_v))
+    h = 1e-6
+    da = (f(a_v + h, b_v) - f(a_v - h, b_v)) / (2 * h)
+    db = (f(a_v, b_v + h) - f(a_v, b_v - h)) / (2 * h)
+    np.testing.assert_allclose(out.d, np.stack([da, db]), rtol=1e-7)
+    # an array on the left defers to the dual; channels index value and tangents alike
+    assert isinstance(np.ones(3) * a, Dual)
+    both = Dual(np.stack([a_v, b_v], axis=1), np.eye(2)[:, None, :])[..., 1]
+    np.testing.assert_array_equal(both.value, b_v)
+    np.testing.assert_array_equal(both.d, [[0.0], [1.0]])
+
+
+def test_dual_pow_requires_int():
+    with pytest.raises(ConfigError):
+        Dual(np.ones(2), np.ones((1, 1))) ** 0.5

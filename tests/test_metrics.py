@@ -51,28 +51,32 @@ def test_coverage_monotone_in_k(k, bump):
     assert metrics.coverage(band, reference, k + bump) >= metrics.coverage(band, reference, k)
 
 
+def _inflation(band):
+    return metrics.band_report(band, band.mean, TRAIN, EXTRAP).inflation_ratio
+
+
 def test_inflation_uniform_std_is_one():
     band = _band(np.zeros(7), np.full(7, 0.3))
-    assert metrics.inflation_ratio(band, TRAIN, EXTRAP) == pytest.approx(1.0)
+    assert _inflation(band) == pytest.approx(1.0)
 
 
 def test_inflation_hand_value():
     std = np.where(GRID[:, 0] > 2.0, 0.5, 0.1)
     band = _band(np.zeros(7), std)
-    assert metrics.inflation_ratio(band, TRAIN, EXTRAP) == pytest.approx(5.0)
+    assert _inflation(band) == pytest.approx(5.0)
 
 
 def test_inflation_zero_inside_is_infinite():
     std = np.where(GRID[:, 0] > 2.0, 1.0, 0.0)
     band = _band(np.zeros(7), std)
-    assert metrics.inflation_ratio(band, TRAIN, EXTRAP) == math.inf
+    assert _inflation(band) == math.inf
 
 
 def test_inflation_requires_points_on_both_sides():
     grid = np.linspace(0.0, 2.0, 5).reshape(-1, 1)
     band = PredictiveBand(grid, np.zeros((5, 1)), np.ones((5, 1)))
     with pytest.raises(StructuralError):
-        metrics.inflation_ratio(band, TRAIN, EXTRAP)
+        _inflation(band)
 
 
 @given(st.floats(min_value=0.01, max_value=100.0))
@@ -80,8 +84,8 @@ def test_inflation_requires_points_on_both_sides():
 def test_inflation_invariant_under_rescaling(scale):
     rng = np.random.default_rng(1)
     std = np.abs(rng.normal(size=7)) + 0.05
-    a = metrics.inflation_ratio(_band(np.zeros(7), std), TRAIN, EXTRAP)
-    b = metrics.inflation_ratio(_band(np.zeros(7), std * scale), TRAIN, EXTRAP)
+    a = _inflation(_band(np.zeros(7), std))
+    b = _inflation(_band(np.zeros(7), std * scale))
     assert a == pytest.approx(b, rel=1e-9)
 
 

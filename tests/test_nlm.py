@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deuq import nets
-from deuq.errors import ConfigError, StructuralError
+from deuq.errors import ConfigError, DomainError, StructuralError
 from deuq.uq.common import OptConfig
 from deuq.uq.nlm import feature_map, nlm_fit, nlm_fit_dataset, train_feature_net
 from oracles import nlm_predict
@@ -39,6 +39,14 @@ def test_fit_validation():
         nlm_fit(np.array([[np.inf]]), np.ones(1), eps=1.0, prior_std=1.0)
     with pytest.raises(StructuralError):
         nlm_fit(np.ones((2, 1)), np.ones(3), eps=1.0, prior_std=1.0)
+
+
+def test_singular_precision_raises_domain_error():
+    # two identical feature columns at a tiny eps: the prior's identity is
+    # lost next to Phi^T Phi / eps^2, and the precision is singular in floats
+    phi = np.tile(np.random.default_rng(2).normal(size=(6, 1)), (1, 2))
+    with pytest.raises(DomainError):
+        nlm_fit(phi, np.ones(6), eps=1e-60, prior_std=1.0)
 
 
 def test_predict_hand_values():

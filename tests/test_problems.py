@@ -9,7 +9,7 @@ from scipy.interpolate import RegularGridInterpolator
 from deuq import problems
 from deuq.autodiff import Jet2, exp
 from deuq.errors import ConfigError, OracleError, StructuralError
-from oracles import crank_nicolson_burgers, ode_reference, seed_input
+from oracles import crank_nicolson_burgers, enforce, ode_reference, seed_input
 
 
 def _jet_solution_linear(t):
@@ -45,21 +45,21 @@ def test_residual_missing_direction():
 
 def test_enforce_at_condition_point_ignores_raw():
     p = problems.linear_ode()
-    out = problems.enforce([Jet2(123.0, 5.0, -7.0)], [seed_input(0.0, True)], p.transform)
+    out = enforce([Jet2(123.0, 5.0, -7.0)], [seed_input(0.0, True)], p.transform)
     assert out[0].value == 1.0
 
 
 def test_enforce_hand_value_at_log2():
     p = problems.linear_ode()
     t = seed_input(math.log(2.0), True)
-    out = problems.enforce([Jet2(1.0, 0.0, 0.0)], [t], p.transform)
+    out = enforce([Jet2(1.0, 0.0, 0.0)], [t], p.transform)
     assert out[0].value == pytest.approx(1.5)
 
 
 def test_enforce_far_field_limit():
     p = problems.linear_ode(extrap_domain=(0.0, 60.0))
     t = seed_input(50.0, True)
-    out = problems.enforce([Jet2(2.0, 0.0, 0.0)], [t], p.transform)
+    out = enforce([Jet2(2.0, 0.0, 0.0)], [t], p.transform)
     assert out[0].value == pytest.approx(1.0 + 2.0, rel=1e-12)
 
 
@@ -81,7 +81,7 @@ def test_enforcement_exact_at_every_condition(name, raw):
 
 def test_duffing_transform_pins_value_and_slope():
     p = problems.duffing(u0=2.0, du0=-0.3)
-    out = problems.enforce([Jet2(7.0, 11.0, 13.0)], [seed_input(0.0, True)], p.transform)
+    out = enforce([Jet2(7.0, 11.0, 13.0)], [seed_input(0.0, True)], p.transform)
     assert out[0].value == 2.0
     assert out[0].d1 == pytest.approx(-0.3, abs=1e-15)
 
@@ -97,7 +97,7 @@ def test_enforce_jets_match_finite_differences():
             1.3 * math.cos(1.3 * t),
             -1.69 * math.sin(1.3 * t),
         )
-        return problems.enforce([rawj], [tj], p.transform)[0]
+        return enforce([rawj], [tj], p.transform)[0]
 
     t0 = 0.8
     h = 1e-4
@@ -228,6 +228,18 @@ def test_reference_memo_solves_the_burgers_field_once_for_every_grid(integration
         expected = RegularGridInterpolator((t, x), u)(grid[:, [1, 0]]).reshape(-1, 1)
         np.testing.assert_array_equal(problems.reference_solution(p, grid), expected)
     assert integrations["cn"] == 1
+
+
+def test_bilinear_lookup_equals_scipy_bit_for_bit():
+    p = problems.make_preset("burgers")
+    (xl, xr), t_end = p.train_domain[0], p.extrap_domain[1][1]
+    x, t, u = problems._crank_nicolson_burgers(p.coefficients["visc"], xl, xr, t_end)
+    rng = np.random.default_rng(0)
+    grids = [problems.grid_points(p.extrap_domain, 37), problems.grid_points(p.train_domain, 48),
+             np.column_stack([rng.uniform(xl, xr, 5000), rng.uniform(0.0, t_end, 5000)])]
+    for grid in grids:
+        expected = RegularGridInterpolator((t, x), u)(grid[:, [1, 0]])
+        np.testing.assert_array_equal(problems._bilinear(t, x, u, grid[:, 1], grid[:, 0]), expected)
 
 
 def test_reference_memo_does_not_store_an_oracle_error(integrations):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deuq import nets
-from deuq.autodiff import Var, grad_params, softplus
+from deuq.autodiff import softplus
 from deuq.errors import ConfigError, StructuralError
 from deuq.uq.common import GaussianPrior, LikelihoodSpec, OptConfig
 from deuq.uq.variational import (
@@ -16,7 +16,7 @@ from deuq.uq.variational import (
     sign_dims,
     softplus_sigma,
 )
-from oracles import bbb_sample_weights, flipout_perturb, kl_gaussian_diag
+from oracles import Var, bbb_sample_weights, flipout_perturb, grad_params, kernel_node, kl_gaussian_diag
 
 CFG = nets.MLPConfig(1, 1, (3,), seed=8)
 
@@ -197,7 +197,7 @@ def _likelihood_grad(cfg, q, X, Y, eps, signs, eps_hat):
     on the kernel the trainers run (no signs: the shared perturbation)."""
     mu_v = Var(q.mu)
     delta = softplus(Var(q.rho)) * eps_hat
-    out = nets.JetKernel(cfg, X, np.zeros((0, 1)), ()).apply(mu_v, delta, signs)[0]
+    out = kernel_node(nets.JetKernel(cfg, X, np.zeros((0, 1)), ()), mu_v, delta, signs)[0]
     nll = ((out - Y) ** 2).sum() / (2.0 * eps**2)
     return grad_params(nll, [mu_v])
 
