@@ -13,7 +13,10 @@ median and quartiles, this checkout's median, and in how many pairs this
 checkout did better. A speed claim needs at least 9 wins in 10 pairs and
 a median gap larger than the parent's quartile distance. For every seed
 it prints whether the band digests of the two `.perfbench/result-*.json`
-records are equal. Exits 1 if any run is not `correct`.
+records are equal. With `--json PATH` it also writes that summary to PATH:
+per metric the parent's median and quartiles, this checkout's median and
+the wins, with the seeds and the number of seeds whose digests were equal.
+Exits 1 if any run is not `correct`.
 """
 
 import argparse
@@ -51,12 +54,13 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--json", type=Path, help="also write the summary to this file")
     args = parser.parse_args()
     spec = json.loads((HERE / "BENCHMARK.json").read_text())
     roots = {"parent": args.parent.resolve(), "change": HERE}
 
     runs = {"parent": [], "change": []}
-    correct = True
+    correct, equal = True, 0
     for i in range(args.pairs):
         seed = args.first_seed + i
         digests = {}
@@ -67,9 +71,12 @@ def main() -> int:
         figures = " ".join(f"{m['name']} {runs['parent'][-1].get(m['name'], float('nan')):.4g}"
                            f"->{runs['change'][-1].get(m['name'], float('nan')):.4g}"
                            for m in spec["end_to_end"])
-        same = "equal" if digests["parent"] == digests["change"] else "DIFFER"
-        print(f"pair {i} seed {seed}: {figures}; band digests {same}", flush=True)
+        same = digests["parent"] == digests["change"]
+        equal += same
+        print(f"pair {i} seed {seed}: {figures}; band digests {'equal' if same else 'DIFFER'}",
+              flush=True)
 
+    summary = {}
     print(f"\n{'metric':12s} {'parent median':>14s} {'[q1, q3]':>22s} {'change median':>14s} {'wins':>6s}")
     for m in spec["end_to_end"]:
         name = m["name"]
@@ -81,8 +88,16 @@ def main() -> int:
         parent, change = [p for p, _ in pairs], [c for _, c in pairs]
         q1, med, q3 = quartiles(parent)
         wins = sum((c < p) if m["better"] == "lower" else (c > p) for p, c in pairs)
+        summary[name] = {"parent_median": med, "parent_q1": q1, "parent_q3": q3,
+                         "change_median": statistics.median(change), "wins": wins,
+                         "pairs": len(pairs)}
         print(f"{name:12s} {med:14.4g} {f'[{q1:.4g}, {q3:.4g}]':>22s} "
               f"{statistics.median(change):14.4g} {f'{wins}/{len(pairs)}':>6s}")
+    if args.json:
+        seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+        args.json.write_text(json.dumps({
+            "workload": args.workload, "seeds": seeds, "band_digests_equal": equal,
+            "correct": correct, "metrics": summary}, indent=1, sort_keys=True) + "\n")
     if not correct:
         print("some runs were not correct", file=sys.stderr)
     return 0 if correct else 1

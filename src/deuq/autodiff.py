@@ -14,10 +14,13 @@ Two number types live here:
   pass (``deuq.nets.JetKernel.backward``) does the rest. Stage one runs
   its residual on jets of duals.
 
-The module-level functions ``exp``, ``tanh``, ``sin``, ... dispatch on the
-argument type, so the same formula runs on plain numbers, arrays, duals
-and jets. Nothing is recorded: every call is a pure function of its
-arguments, and repeated evaluation yields bit-identical results.
+The module-level functions dispatch on the argument type, with a branch
+only for the number types the pipeline passes them: ``exp`` and ``sin``
+take jets (the condition-enforcing transforms), ``log``, ``softplus``,
+``absolute`` and ``lgamma`` take duals (the evidential loss), and all of
+them take plain numbers and arrays. Nothing is recorded: every call is a
+pure function of its arguments, and repeated evaluation yields
+bit-identical results.
 """
 
 from __future__ import annotations
@@ -174,48 +177,22 @@ def _as_jet(x) -> Jet2:
 
 
 def exp(x):
-    if isinstance(x, Dual):
-        e = np.exp(x.value)
-        return _chain(x, e, e)
     if isinstance(x, Jet2):
         e = exp(x.value)
         return Jet2(e, e * x.d1, e * (x.d1 * x.d1 + x.d2) if _carried(x) else None)
     return np.exp(x)
 
 
-def tanh(x):
-    if isinstance(x, Jet2):
-        t = tanh(x.value)
-        sech2 = 1.0 - t * t
-        d2 = sech2 * x.d2 - 2.0 * t * sech2 * x.d1 * x.d1 if _carried(x) else None
-        return Jet2(t, sech2 * x.d1, d2)
-    return np.tanh(x)
-
-
 def sin(x):
-    if isinstance(x, Dual):
-        return _chain(x, np.sin(x.value), np.cos(x.value))
     if isinstance(x, Jet2):
-        s, c = sin(x.value), cos(x.value)
+        s, c = sin(x.value), np.cos(x.value)
         return Jet2(s, c * x.d1, -s * x.d1 * x.d1 + c * x.d2 if _carried(x) else None)
     return np.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Dual):
-        return _chain(x, np.cos(x.value), -np.sin(x.value))
-    if isinstance(x, Jet2):
-        s, c = sin(x.value), cos(x.value)
-        return Jet2(c, -s * x.d1, -c * x.d1 * x.d1 - s * x.d2 if _carried(x) else None)
-    return np.cos(x)
 
 
 def log(x):
     if isinstance(x, Dual):
         return _chain(x, np.log(x.value), 1.0 / x.value)
-    if isinstance(x, Jet2):
-        d1 = x.d1 / x.value
-        return Jet2(log(x.value), d1, x.d2 / x.value - d1 * d1 if _carried(x) else None)
     return np.log(x)
 
 
@@ -223,26 +200,7 @@ def softplus(x):
     """log(1 + exp(x)), overflow-safe for large |x|."""
     if isinstance(x, Dual):
         return _chain(x, np.logaddexp(0.0, x.value), expit(x.value))
-    if isinstance(x, Jet2):
-        sig = sigmoid(x.value)
-        return Jet2(
-            softplus(x.value),
-            sig * x.d1,
-            sig * (1.0 - sig) * x.d1 * x.d1 + sig * x.d2 if _carried(x) else None,
-        )
     return np.logaddexp(0.0, x)
-
-
-def sigmoid(x):
-    if isinstance(x, Dual):
-        s = expit(x.value)
-        return _chain(x, s, s * (1.0 - s))
-    if isinstance(x, Jet2):
-        s = sigmoid(x.value)
-        ds = s * (1.0 - s)
-        d2s = ds * (1.0 - 2.0 * s)
-        return Jet2(s, ds * x.d1, d2s * x.d1 * x.d1 + ds * x.d2 if _carried(x) else None)
-    return expit(x)
 
 
 def absolute(x):

@@ -209,20 +209,30 @@ _ACTIVATIONS = {
 }
 
 
+def _product(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    # a @ b into out; over an inner dimension of 1 (an input_dim-1 first
+    # layer, a one-output last layer) a broadcast multiply gives the same
+    # bits in about half the time of the BLAS call
+    if a.shape[-1] == 1:
+        np.multiply(a, b, out=out)
+    else:
+        np.matmul(a, b, out=out)
+
+
 def _dense(prev: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
     # one product over all streams; only the value stream gets the bias
     rows = prev.shape[0] * prev.shape[1]
-    np.matmul(prev.reshape(rows, -1), W.T, out=out.reshape(rows, -1))
+    _product(prev.reshape(rows, -1), W.T, out.reshape(rows, -1))
     out[0] += b
 
 
 def _flip_dense(h, W, b, z, dW, db, r, s, hs, t) -> None:
     # z = ((h o s) dW^T) o r + h W^T + b + db o r, summed in this order;
     # hs keeps h o s for the backward pass, and r = s = None means all ones
-    np.matmul(h if s is None else np.multiply(h, s, out=hs), dW.T, out=t)
+    _product(h if s is None else np.multiply(h, s, out=hs), dW.T, t)
     if r is not None:
         t *= r
-    np.matmul(h, W.T, out=z)
+    _product(h, W.T, z)
     z += t
     z += b
     z += db if r is None else np.multiply(db, r, out=t)
@@ -374,9 +384,9 @@ class JetKernel:
                 break
             k = i - 1
             G, z, d, tmp, acc = self._g[k], self._z[k], self._d[k], self._tmp[k], self._acc[k]
-            np.matmul(g.reshape(rows, -1), weights[i], out=G.reshape(rows, -1))
+            _product(g.reshape(rows, -1), weights[i], G.reshape(rows, -1))
             if self._flip is not None:
-                np.matmul(gr, dW, out=acc)
+                _product(gr, dW, acc)
                 if s is not None:
                     acc *= s
                 G[0] += acc

@@ -6,7 +6,9 @@ Four presets are provided: ``linear_ode`` (first-order linear decay),
 and ``burgers`` (viscous nonlinear PDE). Each preset bundles a residual
 operator over jet evaluations, a transform ``u ~> A + B * u`` that makes the
 initial/boundary conditions hold by construction (B vanishes at condition
-locations), and an independent reference solver for error reporting.
+locations), and an independent reference solution for error reporting:
+exact for ``linear_ode`` and, through the Cole-Hopf transform, for
+``burgers``; RK4 for the other two.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.special import ive
 
 from .autodiff import Jet2, exp, sin
 from .errors import ConfigError, OracleError, StructuralError
@@ -290,11 +292,15 @@ def burgers(visc: float = 0.1,
     """u_t + u u_x = visc u_xx with u(x,0) = -sin(pi x), u(+-1, t) = 0.
 
     B vanishes on all three condition surfaces; A restores the initial
-    profile, which itself satisfies the boundary values.
+    profile, which itself satisfies the boundary values, as it does at any
+    integer x ends. The reference is the exact Cole-Hopf solution.
     """
     if visc <= 0.0:
         raise ConfigError("viscosity must be positive")
     xl, xr = x_domain
+    if not (float(xl).is_integer() and float(xr).is_integer()):
+        # the boundary values hold only where -sin(pi x) vanishes
+        raise ConfigError("the x_domain ends must be integers")
 
     def initial_profile(x):
         return -sin(math.pi * x)
@@ -383,75 +389,8 @@ def rk4_path(f: Callable, t0: float, y0: Sequence[float], ts: np.ndarray, max_st
     return out
 
 
-def _crank_nicolson_burgers(visc: float, xl: float, xr: float, t_end: float,
-                            nx: int = 513, dt: float = 5e-4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Implicit Crank-Nicolson with Newton iterations on a fine grid.
-
-    Dirichlet zero ends, initial profile -sin(pi x). Returns (x, t, u) with
-    u of shape (nt, nx). Each Newton step solves its tridiagonal Jacobian
-    with LAPACK gtsv (the routine scipy's solve_banded runs for one band
-    either side), fetched once and fed preallocated buffers in place.
-    """
-    x = np.linspace(xl, xr, nx)
-    dx = x[1] - x[0]
-    nt = int(round(t_end / dt)) + 1
-    t = np.linspace(0.0, t_end, nt)
-    u = np.empty((nt, nx))
-    u[0] = -np.sin(np.pi * x)
-    gtsv, = get_lapack_funcs(("gtsv",), (u,))
-    half_dt, two_dx, dx2 = 0.5 * dt, 2.0 * dx, dx**2
-    diffusion, jac_main = visc / dx2, 2.0 * visc / dx2
-    vx, vxx, F, explicit, main, w = (np.empty(nx - 2) for _ in range(6))
-    lower, upper = np.empty(nx - 3), np.empty(nx - 3)
-
-    for n in range(1, nt):
-        v = u[n]
-        v[:] = u[n - 1]
-        left, mid, right = v[:-2], v[1:-1], v[2:]
-        for it in range(20):
-            # Newton residual F = v + 0.5 dt N(v) - explicit, N(v) = v v_x -
-            # visc v_xx on interior points; vx is reused by the Jacobian
-            np.subtract(right, left, out=vx)
-            vx /= two_dx
-            np.multiply(mid, 2.0, out=vxx)
-            np.subtract(right, vxx, out=vxx)
-            vxx += left
-            vxx /= dx2
-            np.multiply(mid, vx, out=F)
-            vxx *= visc
-            F -= vxx
-            F *= half_dt
-            if it == 0:
-                # F holds 0.5 dt N(v), and the first iterate is the previous
-                # row: explicit = prev - 0.5 dt N(prev)
-                np.subtract(mid, F, out=explicit)
-            F += mid
-            F -= explicit
-            # tridiagonal Jacobian of F w.r.t. interior unknowns
-            np.add(vx, jac_main, out=main)
-            main *= half_dt
-            main += 1.0
-            np.divide(mid, two_dx, out=w)
-            np.negative(w[1:], out=lower)
-            lower -= diffusion
-            lower *= half_dt
-            np.subtract(w[:-1], diffusion, out=upper)
-            upper *= half_dt
-            *_, delta, info = gtsv(lower, main, upper, F, True, True, True, True)
-            if info != 0:
-                raise OracleError(f"Crank-Nicolson gtsv failed (info {info}) at t={t[n]:.6g}")
-            mid -= delta
-            if np.abs(delta, out=w).max() < 1e-12:
-                break
-        if not np.isfinite(v).all():
-            raise OracleError(f"Crank-Nicolson state became non-finite at t={t[n]:.6g}")
-        v[0] = v[-1] = 0.0
-    return x, t, u
-
-
-# Reference solves memoized per process: an ODE's RK4 path per preset,
-# coefficients, start time, step and sorted grid times; the Burgers
-# Crank-Nicolson field, which no grid changes, per coefficients and domain.
+# Each ODE's RK4 path, memoized per process by preset, coefficients, start
+# time, step and sorted grid times.
 _reference_memo: dict = {}
 
 
@@ -463,18 +402,35 @@ def _memoized(key: tuple, solve: Callable):
     return _reference_memo[key]
 
 
-def _bilinear(t: np.ndarray, x: np.ndarray, u: np.ndarray, tq: np.ndarray,
-              xq: np.ndarray) -> np.ndarray:
-    """Linear interpolation of u (on the t x x grid) at the points (tq, xq),
-    with the cell search, distances and corner sum that scipy's
-    RegularGridInterpolator uses, so the values agree bit for bit."""
-    def cell(g, q):
-        i = np.clip(np.searchsorted(g, q, side="right") - 1, 0, g.size - 2)
-        return i, (q - g[i]) / (g[i + 1] - g[i])
+def _cole_hopf_burgers(visc: float, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Exact u(x, t) of u_t + u u_x = visc u_xx with u(x, 0) = -sin(pi x),
+    which vanishes at every integer x, from the Cole-Hopf transform
+    (Cole 1951; the series form of Basdevant et al. 1986).
 
-    (i, y0), (j, y1) = cell(t, tq), cell(x, xq)
-    return (u[i, j] * (1 - y0) * (1 - y1) + u[i, j + 1] * (1 - y0) * y1
-            + u[i + 1, j] * y0 * (1 - y1) + u[i + 1, j + 1] * y0 * y1)
+    u = -2 visc phi_x / phi, where phi(x, t) = I_0(a) + 2 sum_k I_k(a)
+    exp(-visc k^2 pi^2 t) cos(k pi x) solves the heat equation and
+    a = -1/(2 pi visc). The Bessel terms are taken exponentially scaled
+    (``ive``), as the factor exp(|a|) cancels in the ratio, and the series
+    stops where they fall below double precision of phi's smallest value,
+    exp(-2|a|) at x = 0, t = 0. The terms cancel down to that value, so the
+    relative error grows like 1e-16 exp(1/(pi visc)); where that exceeds
+    1e-12 (visc below about 0.035) OracleError is raised.
+    """
+    z = 1.0 / (2.0 * math.pi * visc)
+    if 1e-16 * math.exp(2.0 * z) > 1e-12:
+        raise OracleError(f"the Cole-Hopf series loses 1e-12 relative accuracy at "
+                          f"viscosity {visc:g}; it needs a viscosity of at least about 0.035")
+    floor = np.finfo(float).eps * math.exp(-2.0 * z)
+    n = 16
+    while (coef := ive(np.arange(n), z))[-1] >= floor:  # ive falls monotonically in k
+        n *= 2
+    k = np.arange(np.count_nonzero(coef >= floor))
+    coef = coef[k] * (-1.0) ** k  # I_k(a) = (-1)^k I_k(|a|)
+    coef[1:] *= 2.0
+    decay = np.exp(np.multiply.outer(-visc * math.pi**2 * t, k * k))
+    kx = np.multiply.outer(math.pi * x, k)
+    phi = (decay * np.cos(kx)) @ coef
+    return 2.0 * math.pi * visc * ((decay * np.sin(kx)) @ (coef * k)) / phi
 
 
 def reference_solution(problem: ProblemSpec, grid: np.ndarray,
@@ -482,9 +438,9 @@ def reference_solution(problem: ProblemSpec, grid: np.ndarray,
     """Reference values on (n, input_dim) grid points, one column per output,
     as a fresh array.
 
-    linear_ode is analytic; duffing and lotka_volterra use RK4; burgers uses
-    a fine-grid Crank-Nicolson solve with bilinear interpolation. The RK4
-    paths and the Crank-Nicolson field are memoized per process.
+    linear_ode is analytic; duffing and lotka_volterra use RK4, with the
+    paths memoized per process; burgers evaluates the exact Cole-Hopf series
+    at the points (``_cole_hopf_burgers``).
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     for axis, (lo, hi) in enumerate(problem.extrap_domain):
@@ -520,10 +476,7 @@ def reference_solution(problem: ProblemSpec, grid: np.ndarray,
         out[order] = path[:, :problem.n_outputs]
         return out
     if problem.name == "burgers":
-        (xl, xr), t_end = problem.train_domain[0], problem.extrap_domain[1][1]
-        x, t, u = _memoized((problem.name, coeff_key, xl, xr, t_end),
-                            lambda: _crank_nicolson_burgers(c["visc"], xl, xr, t_end))
-        return _bilinear(t, x, u, grid[:, 1], grid[:, 0]).reshape(-1, 1)
+        return _cole_hopf_burgers(c["visc"], grid[:, 0], grid[:, 1]).reshape(-1, 1)
     raise ConfigError(f"no reference solver for {problem.name!r}")
 
 

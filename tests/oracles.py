@@ -11,6 +11,9 @@ output to `deuq.nets.JetKernel.backward`. The tape stays as the oracle:
   on it. Production must give the same loss value and the same gradient.
 - `Var` takes numpy's ufuncs (`np.exp`, `np.tanh`, `scipy.special.expit`,
   ...), so the dispatched functions of `deuq.autodiff` run on it unchanged.
+- `exp`, `sin`, `cos`, `tanh`, `log`, `softplus` and `sigmoid` take jets
+  and duals alike; `deuq.autodiff` keeps only the branches the pipeline
+  runs.
 
 The stage-1 network once ran as generic jet arithmetic over the tape:
 every layer a Jet2 of Var nodes, every direction a full second-order
@@ -32,10 +35,13 @@ the Monte Carlo band one draw and one `nets.evaluate` at a time, and
 `adam_step`, the out-of-place Adam step. The chunked band and the
 in-place step must match them bit for bit.
 
-So do the reference integrators as first written, on numpy arrays: RK4 on
-an array state and Crank-Nicolson with `solve_banded` on a fresh banded
-matrix per Newton step. `deuq.problems` does the same arithmetic with
-less overhead and must match them bit for bit.
+So do the reference integrators as first written, on numpy arrays. RK4 on
+an array state does the arithmetic of `deuq.problems`' RK4 and must match
+it bit for bit. Burgers has two independent checks of the exact Cole-Hopf
+series in `deuq.problems`: the Cole-Hopf integral by Gauss-Hermite
+quadrature, and Crank-Nicolson with `solve_banded` on a fresh banded
+matrix per Newton step, whose discretization error shrinks as its grid
+is refined.
 
 The rest are checks the pipeline never runs:
 - `seed_input`, `central_diff_1`, `central_diff_2` and `finite_diff_check`
@@ -56,8 +62,8 @@ import numpy as np
 from scipy.linalg import solve_banded
 from scipy.special import digamma, expit, gammaln
 
-from deuq import nets, problems, stage1
-from deuq.autodiff import Jet2, exp, log, sin, softplus, tanh
+from deuq import autodiff, nets, problems, stage1
+from deuq.autodiff import Dual, Jet2
 from deuq.errors import ConfigError, OracleError, StructuralError
 from deuq.uq.common import GaussianPrior
 from deuq.uq.der import EvidentialOutput, _scale_floor, der_head, der_loss
@@ -336,6 +342,76 @@ def kernel_node(kernel: nets.JetKernel, flat: Var, delta: Var | None = None,
     if delta is None:
         return Var(out, (flat,), lambda g: (kernel.backward(g),))
     return Var(out, (flat, delta), kernel.backward)
+
+
+# ---------------------------------------------------------------------
+# Elementary functions on every number type
+# ---------------------------------------------------------------------
+# `deuq.autodiff` gives each function a branch only for the number types
+# the pipeline passes it. The jet and dual branches below complete the set
+# for the network-on-jets oracle and the derivative tests; every other
+# argument goes on to `deuq.autodiff`.
+
+
+def exp(x):
+    if isinstance(x, Dual):
+        e = np.exp(x.value)
+        return Dual(e, x.d * e)
+    return autodiff.exp(x)
+
+
+def sin(x):
+    if isinstance(x, Dual):
+        return Dual(np.sin(x.value), x.d * np.cos(x.value))
+    return autodiff.sin(x)
+
+
+def cos(x):
+    if isinstance(x, Dual):
+        return Dual(np.cos(x.value), x.d * -np.sin(x.value))
+    if isinstance(x, Jet2):
+        s, c = np.sin(x.value), np.cos(x.value)
+        return Jet2(c, -s * x.d1, -c * x.d1 * x.d1 - s * x.d2 if x.d2 is not None else None)
+    return np.cos(x)
+
+
+def tanh(x):
+    if isinstance(x, Jet2):
+        t = np.tanh(x.value)
+        sech2 = 1.0 - t * t
+        d2 = sech2 * x.d2 - 2.0 * t * sech2 * x.d1 * x.d1 if x.d2 is not None else None
+        return Jet2(t, sech2 * x.d1, d2)
+    return np.tanh(x)
+
+
+def log(x):
+    if isinstance(x, Jet2):
+        d1 = x.d1 / x.value
+        return Jet2(np.log(x.value), d1, x.d2 / x.value - d1 * d1 if x.d2 is not None else None)
+    return autodiff.log(x)
+
+
+def softplus(x):
+    if isinstance(x, Jet2):
+        sig = expit(x.value)
+        return Jet2(
+            np.logaddexp(0.0, x.value),
+            sig * x.d1,
+            sig * (1.0 - sig) * x.d1 * x.d1 + sig * x.d2 if x.d2 is not None else None,
+        )
+    return autodiff.softplus(x)
+
+
+def sigmoid(x):
+    if isinstance(x, Dual):
+        s = expit(x.value)
+        return Dual(s, x.d * (s * (1.0 - s)))
+    if isinstance(x, Jet2):
+        s = expit(x.value)
+        ds = s * (1.0 - s)
+        d2s = ds * (1.0 - 2.0 * s)
+        return Jet2(s, ds * x.d1, d2s * x.d1 * x.d1 + ds * x.d2 if x.d2 is not None else None)
+    return expit(x)
 
 
 # ---------------------------------------------------------------------
@@ -679,6 +755,20 @@ def crank_nicolson_burgers(visc: float, xl: float, xr: float, t_end: float,
         u[n, 0] = 0.0
         u[n, -1] = 0.0
     return x, t, u
+
+
+def cole_hopf_hermite(visc: float, x: np.ndarray, t: np.ndarray, nodes: int = 200) -> np.ndarray:
+    """u(x, t) of the `problems.burgers` problem from the Cole-Hopf integral,
+    by Gauss-Hermite quadrature (Basdevant et al. 1986), for t > 0.
+
+    With eta = x - c s and c = sqrt(4 visc t), u = (c / t) E[s f] / E[f]
+    under the weight exp(-s^2). Here f(eta) = exp(-(cos(pi eta) + 1) /
+    (2 pi visc)) is exp(-F(eta) / (2 visc)), F the integral of u(., 0) from
+    0 to eta, times the constant that keeps f <= 1."""
+    s, w = np.polynomial.hermite.hermgauss(nodes)
+    c = np.sqrt(4.0 * visc * t)[:, None]
+    f = np.exp(-(np.cos(np.pi * (x[:, None] - c * s)) + 1.0) / (2.0 * np.pi * visc))
+    return c[:, 0] / t * (f * (w * s)).sum(axis=1) / (f * w).sum(axis=1)
 
 
 def seed_input(value, active: bool = True) -> Jet2:

@@ -5,21 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deuq.autodiff import (
-    Dual,
-    Jet2,
-    absolute,
+from deuq.autodiff import Dual, Jet2, absolute, lgamma
+from deuq.errors import ConfigError, StructuralError
+from oracles import (
+    Var,
+    central_diff_1,
+    central_diff_2,
     cos,
     exp,
-    lgamma,
+    finite_diff_check,
+    grad_params,
     log,
+    seed_input,
     sigmoid,
     sin,
     softplus,
     tanh,
 )
-from deuq.errors import ConfigError, StructuralError
-from oracles import Var, central_diff_1, central_diff_2, finite_diff_check, grad_params, seed_input
 
 safe_floats = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from deuq import nets, problems, stage1
-from deuq.autodiff import Jet2, exp, softplus, tanh
+from deuq.autodiff import Jet2
 from deuq.errors import StructuralError
 from deuq.uq.variational import sign_dims
-from oracles import (Var, decomposed_forward, grad_params, jet_forward, kernel_node, split_flat_var,
-                     tape_residual_loss, values_batch)
+from oracles import (Var, decomposed_forward, exp, grad_params, jet_forward, kernel_node, softplus,
+                     split_flat_var, tanh, tape_residual_loss, values_batch)
 
 ACTIVATIONS = ("tanh", "sin", "softplus", "rbf")
 

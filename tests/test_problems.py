@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.interpolate import RegularGridInterpolator
 
 from deuq import problems
 from deuq.autodiff import Jet2, exp
 from deuq.errors import ConfigError, OracleError, StructuralError
-from oracles import crank_nicolson_burgers, enforce, ode_reference, seed_input
+from oracles import cole_hopf_hermite, crank_nicolson_burgers, enforce, ode_reference, seed_input
 
 
 def _jet_solution_linear(t):
@@ -155,19 +154,34 @@ def test_rk4_reference_equals_the_array_oracle_bit_for_bit(name, overrides):
 
 
 @pytest.mark.parametrize("visc", [0.1, 0.05])
-def test_crank_nicolson_equals_the_solve_banded_oracle_bit_for_bit(visc):
-    lean = problems._crank_nicolson_burgers(visc, -1.0, 1.0, 0.25)
-    banded = crank_nicolson_burgers(visc, -1.0, 1.0, 0.25)
-    for a, b in zip(lean, banded):
-        np.testing.assert_array_equal(a, b)
+def test_cole_hopf_series_matches_gauss_hermite(visc):
+    p = problems.burgers(visc=visc)
+    grid = problems.grid_points(p.extrap_domain, 41)
+    grid = grid[grid[:, 1] > 0.0]  # the quadrature needs t > 0
+    np.testing.assert_allclose(problems.reference_solution(p, grid)[:, 0],
+                               cole_hopf_hermite(visc, grid[:, 0], grid[:, 1]), rtol=0, atol=1e-12)
+
+
+def test_crank_nicolson_converges_to_the_burgers_reference():
+    # halving both steps of the second-order scheme should cut its error about 4x
+    p = problems.burgers(t_train=(0.0, 0.2), t_extrap=(0.0, 0.25))
+    times = np.linspace(0.05, 0.25, 5)
+    errors = []
+    for nx, dt in ((513, 5e-4), (1025, 2.5e-4)):
+        x, t, u = crank_nicolson_burgers(0.1, -1.0, 1.0, 0.25, nx=nx, dt=dt)
+        rows = np.rint(times / dt).astype(int)
+        grid = np.column_stack([np.tile(x, rows.size), np.repeat(t[rows], x.size)])
+        exact = problems.reference_solution(p, grid)[:, 0]
+        errors.append(np.max(np.abs(u[rows].ravel() - exact)))
+    assert errors[0] < 3e-5
+    assert errors[1] < errors[0] / 3.0
 
 
 @pytest.fixture
 def integrations(monkeypatch):
-    """Start from an empty reference memo and count the RK4 and
-    Crank-Nicolson solves behind it."""
+    """Start from an empty reference memo and count the RK4 solves behind it."""
     monkeypatch.setattr(problems, "_reference_memo", {})
-    calls = {"rk4": 0, "cn": 0}
+    calls = {"rk4": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -176,8 +190,6 @@ def integrations(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(problems, "rk4_path", counted("rk4", problems.rk4_path))
-    monkeypatch.setattr(problems, "_crank_nicolson_burgers",
-                        counted("cn", problems._crank_nicolson_burgers))
     return calls
 
 
@@ -218,28 +230,20 @@ def test_reference_memo_returns_fresh_arrays(integrations):
     assert integrations["rk4"] == 1
 
 
-def test_reference_memo_solves_the_burgers_field_once_for_every_grid(integrations):
-    p = problems.burgers(t_train=(0.0, 0.2), t_extrap=(0.0, 0.25))
-    coarse = problems.grid_points(p.extrap_domain, 9)
-    fine = problems.grid_points(p.extrap_domain, 13)
-    problems.reference_solution(p, coarse)[:] = np.nan
-    x, t, u = crank_nicolson_burgers(0.1, -1.0, 1.0, 0.25)
-    for grid in (coarse, fine):
-        expected = RegularGridInterpolator((t, x), u)(grid[:, [1, 0]]).reshape(-1, 1)
-        np.testing.assert_array_equal(problems.reference_solution(p, grid), expected)
-    assert integrations["cn"] == 1
+def test_burgers_reference_leaves_the_memo_empty(integrations):
+    p = problems.burgers()
+    grid = problems.grid_points(p.extrap_domain, 9)
+    problems.reference_solution(p, grid)[:] = np.nan
+    np.testing.assert_array_equal(problems.reference_solution(p, grid)[:, 0],
+                                  problems._cole_hopf_burgers(0.1, grid[:, 0], grid[:, 1]))
+    assert problems._reference_memo == {}
 
 
-def test_bilinear_lookup_equals_scipy_bit_for_bit():
-    p = problems.make_preset("burgers")
-    (xl, xr), t_end = p.train_domain[0], p.extrap_domain[1][1]
-    x, t, u = problems._crank_nicolson_burgers(p.coefficients["visc"], xl, xr, t_end)
-    rng = np.random.default_rng(0)
-    grids = [problems.grid_points(p.extrap_domain, 37), problems.grid_points(p.train_domain, 48),
-             np.column_stack([rng.uniform(xl, xr, 5000), rng.uniform(0.0, t_end, 5000)])]
-    for grid in grids:
-        expected = RegularGridInterpolator((t, x), u)(grid[:, [1, 0]])
-        np.testing.assert_array_equal(problems._bilinear(t, x, u, grid[:, 1], grid[:, 0]), expected)
+def test_burgers_reference_raises_oracle_error_at_small_viscosity():
+    grid = np.array([[0.0, 0.5]])
+    problems.reference_solution(problems.burgers(visc=0.035), grid)
+    with pytest.raises(OracleError, match="viscosity 0.03"):
+        problems.reference_solution(problems.burgers(visc=0.03), grid)
 
 
 def test_reference_memo_does_not_store_an_oracle_error(integrations):
@@ -280,15 +284,19 @@ def test_burgers_reference_odd_symmetry():
 
 
 def test_burgers_oracle_satisfies_pde_on_grid():
-    x, t, u = problems._crank_nicolson_burgers(0.1, -1.0, 1.0, 1.5)
-    dx, dt = x[1] - x[0], t[1] - t[0]
-    i = np.arange(1, x.size - 1)
-    n = t.size // 2
-    u_t = (u[n + 1, i] - u[n - 1, i]) / (2 * dt)
-    u_x = (u[n, i + 1] - u[n, i - 1]) / (2 * dx)
-    u_xx = (u[n, i + 1] - 2 * u[n, i] + u[n, i - 1]) / dx**2
-    residual = u_t + u[n, i] * u_x - 0.1 * u_xx
-    assert np.max(np.abs(residual)) < 1e-5
+    p = problems.burgers()
+    h = 1e-4
+    x = np.linspace(-0.95, 0.95, 39)
+
+    def u(dx, t):
+        return problems.reference_solution(p, np.column_stack([x + dx, np.full_like(x, t)]))[:, 0]
+
+    for t in (0.1, 0.5, 1.0, 1.4):
+        u_t = (u(0.0, t + h) - u(0.0, t - h)) / (2 * h)
+        u_x = (u(h, t) - u(-h, t)) / (2 * h)
+        u_xx = (u(h, t) - 2 * u(0.0, t) + u(-h, t)) / h**2
+        residual = u_t + u(0.0, t) * u_x - 0.1 * u_xx
+        assert np.max(np.abs(residual)) < 1e-6
 
 
 def test_preset_domain_validation():
@@ -296,6 +304,8 @@ def test_preset_domain_validation():
         problems.linear_ode(train_domain=(0.0, 2.0), extrap_domain=(0.0, 2.0))
     with pytest.raises(ConfigError):
         problems.burgers(visc=0.0)
+    with pytest.raises(ConfigError):
+        problems.burgers(x_domain=(-0.5, 1.0))
     with pytest.raises(ConfigError):
         problems.make_preset("heat_equation")
 
