@@ -18,6 +18,7 @@ from pathlib import Path
 
 from . import experiment
 from .errors import ConfigError, DeuqError
+from .stage1 import atomic_write
 
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
@@ -143,7 +144,7 @@ def _cmd_report(args) -> int:
     report = experiment.report_from_csv(args.band, args.coverage_k)
     text = json.dumps(report, sort_keys=True, indent=2)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        atomic_write(args.out, text + "\n")
         print(f"report: {args.out}")
     else:
         print(text)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
+from .autodiff import expit
 from .errors import ConfigError, StructuralError
 
 

@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from .. import nets
-from ..autodiff import Dual, absolute, lgamma, log, softplus
+from ..autodiff import Dual, absolute, lgamma_gap, log, softplus
 from ..errors import ConfigError, DomainError
 from ..nets import grad_params
 from ..optim import fit
@@ -74,8 +74,7 @@ def der_loss(out: EvidentialOutput, target, lam: float = 0.0):
         0.5 * log(math.pi / out.nu)
         - out.alpha * log(two_beta_l)
         + (out.alpha + 0.5) * log(out.nu * err * err + two_beta_l)
-        + lgamma(out.alpha)
-        - lgamma(out.alpha + 0.5)
+        + lgamma_gap(out.alpha)
     )
     if lam == 0.0:
         return nll

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .. import nets
 from ..errors import ConfigError, DomainError, StructuralError
@@ -38,8 +37,9 @@ def nlm_fit(features: np.ndarray, targets: np.ndarray, eps: float,
             prior_std: float) -> NLMPosterior:
     """Conjugate Gaussian regression: cov = (I/prior_std^2 + Phi^T Phi/eps^2)^-1,
     mean = cov Phi^T y / eps^2. With no rows the posterior equals the prior.
-    The precision is inverted through its Cholesky factor; a precision that
-    is not positive definite in floating point raises DomainError."""
+    The precision is inverted through its Cholesky factor L: cov = L^-T L^-1.
+    A precision that is not positive definite in floating point raises
+    DomainError."""
     if eps <= 0.0 or prior_std <= 0.0:
         raise ConfigError("eps and prior_std must be positive")
     features = np.asarray(features, dtype=float)
@@ -53,10 +53,10 @@ def nlm_fit(features: np.ndarray, targets: np.ndarray, eps: float,
     d = features.shape[1]
     precision = np.eye(d) / prior_std**2 + features.T @ features / eps**2
     try:
-        factor = cho_factor(precision)
+        factor_inv = np.linalg.inv(np.linalg.cholesky(precision))
     except np.linalg.LinAlgError:
         raise DomainError("NLM posterior precision is not positive definite") from None
-    cov = cho_solve(factor, np.eye(d))
+    cov = factor_inv.T @ factor_inv
     cov = (cov + cov.T) / 2.0
     mean = cov @ (features.T @ targets) / eps**2
     return NLMPosterior(None, mean, cov)

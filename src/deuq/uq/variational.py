@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .. import nets
+from ..autodiff import expit
 from ..errors import ConfigError, StructuralError
 from ..nets import grad_params
 from ..optim import fit

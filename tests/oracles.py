@@ -9,8 +9,11 @@ output to `deuq.nets.JetKernel.backward`. The tape stays as the oracle:
   `tape_stage1_loss`, `tape_nlm_loss`, `tape_der_loss` and
   `tape_variational_loss` are the four training losses as first written
   on it. Production must give the same loss value and the same gradient.
-- `Var` takes numpy's ufuncs (`np.exp`, `np.tanh`, `scipy.special.expit`,
-  ...), so the dispatched functions of `deuq.autodiff` run on it unchanged.
+- `Var` takes numpy's ufuncs (`np.exp`, `np.tanh`, `np.logaddexp`, ...)
+  and registers its branch of `deuq.autodiff.lgamma_gap`, which records
+  deuq's own log-gamma gap series with its digamma difference as the
+  derivative. So the dispatched functions of `deuq.autodiff` run on it
+  unchanged, with the arithmetic of the production loss.
 - `exp`, `sin`, `cos`, `tanh`, `log`, `softplus` and `sigmoid` take jets
   and duals alike; `deuq.autodiff` keeps only the branches the pipeline
   runs.
@@ -60,10 +63,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import solve_banded
-from scipy.special import digamma, expit, gammaln
 
 from deuq import autodiff, nets, problems, stage1
-from deuq.autodiff import Dual, Jet2
+from deuq.autodiff import Dual, Jet2, expit
 from deuq.errors import ConfigError, OracleError, StructuralError
 from deuq.uq.common import GaussianPrior
 from deuq.uq.der import EvidentialOutput, _scale_floor, der_head, der_loss
@@ -96,8 +98,6 @@ _UNARY = {
     np.cos: lambda x, y: -np.sin(x),
     np.log: lambda x, y: 1.0 / x,
     np.absolute: lambda x, y: np.sign(x),
-    expit: lambda x, y: y * (1.0 - y),
-    gammaln: lambda x, y: digamma(x),
 }
 _BINARY = {
     np.add: ("__add__", "__radd__"),
@@ -311,6 +311,11 @@ def _var_unary(x: Var, value: np.ndarray, dfdx: np.ndarray) -> Var:
     return Var(value, (x,), lambda g: (_unbroadcast(g * dfdx, x.shape),))
 
 
+@autodiff.lgamma_gap.register(Var)
+def _lgamma_gap_var(x: Var) -> Var:
+    return _var_unary(x, *autodiff.lgamma_gap_slope(x.data))
+
+
 def transpose(x: Var) -> Var:
     return Var(x.data.T, (x,), lambda g: (g.T,))
 
@@ -393,7 +398,7 @@ def log(x):
 
 def softplus(x):
     if isinstance(x, Jet2):
-        sig = expit(x.value)
+        sig = sigmoid(x.value)
         return Jet2(
             np.logaddexp(0.0, x.value),
             sig * x.d1,
@@ -407,10 +412,13 @@ def sigmoid(x):
         s = expit(x.value)
         return Dual(s, x.d * (s * (1.0 - s)))
     if isinstance(x, Jet2):
-        s = expit(x.value)
+        s = sigmoid(x.value)
         ds = s * (1.0 - s)
         d2s = ds * (1.0 - 2.0 * s)
         return Jet2(s, ds * x.d1, d2s * x.d1 * x.d1 + ds * x.d2 if x.d2 is not None else None)
+    if isinstance(x, Var):
+        s = expit(x.data)
+        return _var_unary(x, s, s * (1.0 - s))
     return expit(x)
 
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import digamma, gammaln
+from scipy.special import expit as scipy_expit
 
-from deuq.autodiff import Dual, Jet2, absolute, lgamma
+from deuq import autodiff
+from deuq.autodiff import Dual, Jet2, absolute, lgamma_gap
 from deuq.errors import ConfigError, StructuralError
 from oracles import (
     Var,
@@ -204,7 +207,8 @@ _DUAL_CASES = [
     ("softplus", softplus, lambda v: np.logaddexp(0.0, v)),
     ("sigmoid", sigmoid, lambda v: 1.0 / (1.0 + np.exp(-v))),
     ("absolute", absolute, np.abs),
-    ("lgamma", lgamma, lambda v: np.vectorize(math.lgamma)(v)),
+    ("lgamma_gap", lgamma_gap,
+     lambda v: np.vectorize(lambda a: math.lgamma(a) - math.lgamma(a + 0.5))(v)),
 ]
 
 
@@ -212,7 +216,7 @@ _DUAL_CASES = [
 def test_dual_functions_match_finite_differences(name, fn, plain):
     # value on the numpy path; tangent along two seeds with different scales
     v = np.random.default_rng(1).uniform(0.3, 2.5, size=9) * np.array([1, -1, 1] * 3)
-    if name in ("log", "lgamma"):
+    if name in ("log", "lgamma_gap"):
         v = np.abs(v)
     out = fn(Dual(v, np.array([[1.0], [-2.0]])))
     np.testing.assert_array_equal(out.value, fn(v))
@@ -244,3 +248,39 @@ def test_dual_arithmetic_matches_its_values_and_derivatives():
 def test_dual_pow_requires_int():
     with pytest.raises(ConfigError):
         Dual(np.ones(2), np.ones((1, 1))) ** 0.5
+
+
+def test_expit_matches_scipy():
+    x = np.concatenate([np.linspace(-800.0, 800.0, 160001),
+                        np.random.default_rng(4).uniform(-40.0, 40.0, 20000)])
+    ours, ref = autodiff.expit(x), scipy_expit(x)
+    np.testing.assert_array_equal(ours == 0.0, ref == 0.0)
+    nonzero = ref != 0.0
+    assert np.max(np.abs(ours[nonzero] - ref[nonzero]) / ref[nonzero]) <= 1e-15
+    out = np.empty_like(x)
+    assert autodiff.expit(x, out=out) is out
+    np.testing.assert_array_equal(out, ours)
+
+
+def test_lgamma_gap_and_slope_match_scipy():
+    alpha = np.concatenate([1.0 + np.logspace(-12, 0, 2000), np.linspace(1.0, 20.0, 20001)[1:],
+                            np.logspace(0, 6, 20000)[1:],
+                            np.random.default_rng(5).uniform(1.0, 12.0, 20000)])
+    gap, slope = autodiff.lgamma_gap_slope(alpha)
+    # scipy's differences cancel: judge them against the size of their terms
+    ref_gap = gammaln(alpha) - gammaln(alpha + 0.5)
+    assert np.max(np.abs(gap - ref_gap) / np.maximum(1.0, np.abs(gammaln(alpha)))) <= 1e-14
+    ref_slope = digamma(alpha) - digamma(alpha + 0.5)
+    assert np.max(np.abs(slope - ref_slope) / np.maximum(1.0, np.abs(digamma(alpha)))) <= 1e-14
+    assert lgamma_gap(2.0) == lgamma_gap(np.array([2.0]))[0]
+
+
+def test_lgamma_gap_stays_finite_at_extreme_arguments():
+    # scipy's difference cancels to 0 at the large arguments, where the
+    # gap is -log(x)/2 to double precision
+    x = np.array([1e-300, 1e-8, 1e160, 1e300])
+    gap, slope = autodiff.lgamma_gap_slope(x)
+    np.testing.assert_allclose(gap[:2], gammaln(x[:2]) - gammaln(x[:2] + 0.5), rtol=1e-14)
+    np.testing.assert_allclose(slope[:2], digamma(x[:2]) - digamma(x[:2] + 0.5), rtol=1e-14)
+    np.testing.assert_allclose(gap[2:], -0.5 * np.log(x[2:]), rtol=1e-14)
+    np.testing.assert_allclose(slope[2:], -0.5 / x[2:], rtol=1e-14)

@@ -451,3 +451,23 @@ def test_cli_report_rejects_an_unreadable_band_csv(tmp_path, capsys, content):
         path.write_text(content)
     assert main(["report", "--band", str(path)]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+def test_cli_report_out_is_written_atomically(tmp_path, capsys):
+    band = tmp_path / "band.csv"
+    band.write_text("t,mean,std,reference,in_train_domain\n"
+                    "0.5,1.0,0.1,1.05,1\n1.0,0.9,0.1,0.85,1\n2.5,0.5,0.4,0.2,0\n")
+    out = tmp_path / "report.json"
+    assert main(["report", "--band", str(band), "--out", str(out)]) == 0
+    assert json.loads(out.read_text()) == experiment.report_from_csv(band, 2.0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["band.csv", "report.json"]
+
+
+def test_the_pipeline_imports_no_scipy():
+    # a fresh interpreter: this one holds scipy through the test oracles
+    src = os.path.dirname(os.path.dirname(experiment.__file__))
+    code = ("import sys, deuq.cli, deuq.experiment; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert proc.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from deuq import nets
 from deuq.errors import ConfigError, DomainError, StructuralError
@@ -133,3 +134,21 @@ def test_feature_net_keeps_loss_history():
                                OptConfig(epochs=30, learning_rate=1e-2))
     assert len(params.loss_history) == 31
     assert params.loss_history[-1][1] < params.loss_history[0][1]
+
+
+@pytest.mark.parametrize("features", ["normal", "tanh_net"])
+def test_posterior_cov_matches_scipy_cho_solve(features):
+    x = np.linspace(0.0, 2.0, 128)
+    if features == "normal":
+        phi = np.random.default_rng(9).normal(size=(128, 33))
+    else:
+        phi = feature_map(nets.init(nets.MLPConfig(1, 1, (32,), seed=3)), x[:, None])
+    eps, prior_std = 1e-2, 1.0
+    post = nlm_fit(phi, np.sin(x), eps, prior_std)
+    precision = np.eye(phi.shape[1]) / prior_std**2 + phi.T @ phi / eps**2
+    ref = cho_solve(cho_factor(precision), np.eye(phi.shape[1]))
+    ref = (ref + ref.T) / 2.0
+    # two Cholesky solvers agree to about cond * eps: 1e-12 on normal
+    # features, and on a network's correlated features (cond ~ 4e6) less
+    bound = max(1e-12, np.finfo(float).eps * np.linalg.cond(precision))
+    assert np.max(np.abs(post.posterior_cov - ref)) <= bound * np.max(np.abs(ref))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ive
 
 from deuq import problems
 from deuq.autodiff import Jet2, exp
@@ -322,3 +323,13 @@ def test_grid_points_product_order():
     np.testing.assert_array_equal(grid[0], [0.0, 0.0])
     np.testing.assert_array_equal(grid[1], [0.0, 1.0])  # second coordinate fastest
     np.testing.assert_array_equal(grid[-1], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("visc", [0.035, 0.05, 0.1, 0.5, 2.0])
+def test_scaled_bessel_series_matches_scipy(visc):
+    z = 1.0 / (2.0 * math.pi * visc)
+    coef = problems._scaled_bessel(z)
+    ref = ive(np.arange(coef.size), z)
+    assert np.max(np.abs(coef - ref) / ref) <= 1e-13
+    # the first order dropped is below the floor the series keeps to
+    assert ive(coef.size, z) < np.finfo(float).eps * math.exp(-2.0 * z)
