@@ -64,7 +64,7 @@ def main() -> None:
                 wall_s[f"{preset}/{method}"] += time.perf_counter() - start
                 problem = result.problem
                 report = metrics.band_report(band, problems.reference_solution(problem, band.grid),
-                                             problem.train_domain, problem.extrap_domain)
+                                             metrics.in_train_mask(band.grid, problem.train_domain))
                 for key, field in REPORT_KEYS.items():
                     band_values[f"{preset}/{method}"][key].append(getattr(report, field))
             print(f"{preset} seed {seed}: final loss {stage1_values[preset]['final_loss'][-1]:.3g}",

@@ -108,6 +108,8 @@ class ExperimentConfig:
             raise ConfigError("n_mc_samples must be at least 2 for MC methods")
         if not self.coverage_k > 0.0:
             raise ConfigError("coverage width k must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.eval_grid is not None and self.eval_grid < 2:
             raise ConfigError("eval_grid must be at least 2 points per dimension")
         if self.hidden_sizes is not None:
@@ -297,9 +299,8 @@ def run_uq(config: ExperimentConfig, result: stage1.Stage1Result,
     out_dir.mkdir(parents=True, exist_ok=True)
     band = run_method(config, result)
     reference = problems.reference_solution(problem, band.grid)
-    report = metrics.band_report(
-        band, reference, problem.train_domain, problem.extrap_domain, config.coverage_k
-    )
+    inside = metrics.in_train_mask(band.grid, problem.train_domain)
+    report = metrics.band_report(band, reference, inside, config.coverage_k)
 
     run_tag = f"{config.preset}_{config.method}_seed{config.seed}"
     paths = RunArtifacts(
@@ -308,7 +309,7 @@ def run_uq(config: ExperimentConfig, result: stage1.Stage1Result,
         report_json=out_dir / f"report_{run_tag}.json",
         config_json=out_dir / f"config_{run_tag}.json",
     )
-    emit_band_csv(band, reference, problem.train_domain, paths.band_csv)
+    emit_band_csv(band, reference, inside, paths.band_csv)
     _atomic_write(
         paths.report_json,
         json.dumps(
@@ -334,10 +335,11 @@ def _problem_overrides(config: ExperimentConfig) -> dict:
 
 
 def emit_band_csv(band: PredictiveBand, reference: np.ndarray,
-                  train_domain, path) -> None:
-    """CSV schema: point coords, mean, std, reference, in_train_domain; one
-    row per grid point in grid order, 9 significant digits. Multi-output
-    bands repeat the mean/std/reference triple with _0, _1, ... suffixes."""
+                  inside: np.ndarray, path) -> None:
+    """CSV schema: point coords, mean, std, reference, in_train_domain (the
+    mask `inside`); one row per grid point in grid order, 9 significant
+    digits. Multi-output bands repeat the mean/std/reference triple with
+    _0, _1, ... suffixes."""
     reference = np.asarray(reference, dtype=float)
     if reference.ndim == 1:
         reference = reference.reshape(-1, 1)
@@ -348,7 +350,6 @@ def emit_band_csv(band: PredictiveBand, reference: np.ndarray,
     suffixes = [""] if k == 1 else [f"_{i}" for i in range(k)]
     value_cols = [name + s for s in suffixes for name in ("mean", "std", "reference")]
     values = np.stack([band.mean, band.std, reference], axis=2).reshape(n, 3 * k)
-    inside = metrics.in_train_mask(band.grid, train_domain)
     text = io.StringIO()
     np.savetxt(text, np.column_stack([band.grid, values, inside]),
                fmt=["%.9g"] * (len(coords) + 3 * k) + ["%d"], delimiter=",",
@@ -358,7 +359,8 @@ def emit_band_csv(band: PredictiveBand, reference: np.ndarray,
 
 def read_band_csv(path) -> tuple[PredictiveBand, np.ndarray, np.ndarray]:
     """Load a band CSV back into (band, reference, in_train mask). A file
-    that is missing or does not hold the schema is a ConfigError."""
+    that is missing, does not hold the schema, or has no grid point inside
+    or none outside the training domain is a ConfigError."""
     try:
         with open(path) as fh:
             header = fh.readline().rstrip("\n").split(",")
@@ -367,8 +369,8 @@ def read_band_csv(path) -> tuple[PredictiveBand, np.ndarray, np.ndarray]:
         raise ConfigError(f"band CSV {path} is not readable: {e}") from None
     n_coords = sum(1 for c in header if c in ("t", "x"))
     n_values = len(header) - n_coords - 1  # a mean, std, reference triple per output
-    if not (n_coords and len(data) and n_values > 0 and n_values % 3 == 0
-            and data.shape[1] == len(header)):
+    if not (n_coords and n_values > 0 and n_values % 3 == 0 and data.shape[1] == len(header)
+            and 0 < np.count_nonzero(data[:, -1] > 0.5) < len(data)):
         raise ConfigError(f"band CSV {path} does not hold the band schema")
     vals = data[:, n_coords:-1]
     band = PredictiveBand(data[:, :n_coords], vals[:, 0::3], vals[:, 1::3], enforced=True)
@@ -376,8 +378,6 @@ def read_band_csv(path) -> tuple[PredictiveBand, np.ndarray, np.ndarray]:
 
 
 def report_from_csv(path, coverage_k: float = 2.0) -> dict:
-    """Recompute the headline metrics from a saved band CSV alone: its
-    in_train_domain column splits the grid, which spans the extrapolation
-    domain."""
-    band, reference, inside = read_band_csv(path)
-    return dataclasses.asdict(metrics.masked_report(band, reference, inside, ~inside, coverage_k))
+    """Recompute the headline metrics from a saved band CSV alone, through
+    the `band_report` a run uses, split by the in_train_domain column."""
+    return dataclasses.asdict(metrics.band_report(*read_band_csv(path), coverage_k))

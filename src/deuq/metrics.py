@@ -34,11 +34,16 @@ class BandReport:
 
 
 def coverage(band: PredictiveBand, reference: np.ndarray, k: float) -> float:
-    """Fraction of grid entries with |mean - reference| <= k * std."""
+    """Fraction of grid entries with |mean - reference| <= k * std. Where std
+    is exactly 0 (at condition locations) an entry also counts as covered
+    when the gap is within the band CSV's 9 significant digits,
+    1e-12 + 1e-8 * |reference|, so a run and its CSV count the same entries."""
     if not k > 0.0:
         raise ConfigError("coverage width k must be positive")
     reference = _aligned_reference(band, reference)
-    hit = np.abs(band.mean - reference) <= k * band.std
+    gap = np.abs(band.mean - reference)
+    hit = gap <= k * band.std
+    hit |= (band.std == 0.0) & (gap <= 1e-12 + 1e-8 * np.abs(reference))
     return float(hit.mean())
 
 
@@ -62,47 +67,26 @@ def rmse(values: np.ndarray, reference: np.ndarray) -> float:
     return float(np.sqrt(np.mean((values - reference) ** 2)))
 
 
-def band_report(band: PredictiveBand, reference: np.ndarray,
-                train_domain: Sequence[Interval],
-                extrap_domain: Sequence[Interval], k: float = 2.0) -> BandReport:
-    """Assemble the headline metrics for one enforced band."""
-    return masked_report(band, reference, *_split(band.grid, train_domain, extrap_domain), k)
-
-
-def masked_report(band: PredictiveBand, reference: np.ndarray, inside: np.ndarray,
-                  outside: np.ndarray, k: float = 2.0) -> BandReport:
-    """The headline metrics with the grid split given as masks: coverage
-    and RMSE over ``inside``, the inflation ratio of ``outside`` to it."""
+def band_report(band: PredictiveBand, reference: np.ndarray, inside: np.ndarray,
+                k: float = 2.0) -> BandReport:
+    """The headline metrics of one enforced band, with the grid split by the
+    mask ``inside`` (the points in the training domain; the grid spans the
+    extrapolation domain): coverage and RMSE over the inside points, and the
+    inflation ratio of the mean std outside them to the mean std inside."""
     reference = _aligned_reference(band, reference)
-    std_in, std_out, ratio = _std_split(band.std, inside, outside)
+    if not inside.any() or inside.all():
+        raise StructuralError("need grid points both inside and outside train_domain")
+    std_in = float(band.std[inside].mean())
+    std_out = float(band.std[~inside].mean())
     train_band = PredictiveBand(band.grid[inside], band.mean[inside],
                                 band.std[inside], band.enforced)
     return BandReport(
         coverage_k2=coverage(train_band, reference[inside], k),
         mean_std_train=std_in,
         mean_std_extrap=std_out,
-        inflation_ratio=ratio,
+        inflation_ratio=math.inf if std_in == 0.0 else std_out / std_in,
         rmse_train=rmse(band.mean[inside], reference[inside]),
     )
-
-
-def _split(grid: np.ndarray, train_domain: Sequence[Interval],
-           extrap_domain: Sequence[Interval]) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the grid points inside the training domain and of those in
-    the extrapolation domain strictly outside it."""
-    inside = in_train_mask(grid, train_domain)
-    return inside, in_train_mask(grid, extrap_domain) & ~inside
-
-
-def _std_split(std: np.ndarray, inside: np.ndarray,
-               outside: np.ndarray) -> tuple[float, float, float]:
-    """Mean std inside, mean std outside, and their ratio (infinite when
-    the inside band is exactly flat)."""
-    if not inside.any() or not outside.any():
-        raise StructuralError("need grid points both inside and outside train_domain")
-    std_in = float(std[inside].mean())
-    std_out = float(std[outside].mean())
-    return std_in, std_out, math.inf if std_in == 0.0 else std_out / std_in
 
 
 def _aligned_reference(band: PredictiveBand, reference: np.ndarray) -> np.ndarray:

@@ -40,7 +40,7 @@ def nlm_fit(features: np.ndarray, targets: np.ndarray, eps: float,
     The precision is inverted through its Cholesky factor L: cov = L^-T L^-1.
     A precision that is not positive definite in floating point raises
     DomainError."""
-    if eps <= 0.0 or prior_std <= 0.0:
+    if not eps > 0.0 or not prior_std > 0.0:
         raise ConfigError("eps and prior_std must be positive")
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float).ravel()

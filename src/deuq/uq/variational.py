@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import nets
-from ..autodiff import expit
+from ..autodiff import expit, softplus
 from ..errors import ConfigError, StructuralError
 from ..nets import grad_params
 from ..optim import fit
@@ -57,12 +57,7 @@ class VariationalParams:
 
     @property
     def sigma(self) -> np.ndarray:
-        return softplus_sigma(self.rho)
-
-
-def softplus_sigma(rho):
-    """log(1 + exp(rho)), overflow-safe; positive for all finite rho."""
-    return np.logaddexp(0.0, rho)
+        return softplus(self.rho)
 
 
 def sign_dims(config: nets.MLPConfig) -> tuple[int, int]:
@@ -101,7 +96,7 @@ def _variational_train(dataset, net_config, like, prior, opt_config, signs: str 
                                         axis=1, count=k) * 2.0 - 1.0 for k in dims)
 
         mu, rho = packed[:P], packed[P:]
-        sigma = softplus_sigma(rho)
+        sigma = softplus(rho)
         err = A + B * kernel.forward(mu, sigma * eps_hat, flips)[0] - Y
         nll = (err**2).sum() / (2.0 * like.eps**2) + const_nll
         kl = (np.log(prior.std / sigma) + (sigma**2 + mu**2) / (2.0 * prior.std**2) - 0.5).sum()

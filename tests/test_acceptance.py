@@ -54,7 +54,7 @@ class _Runs:
             problem = result.problem
             reference = problems.reference_solution(problem, band.grid)
             report = metrics.band_report(
-                band, reference, problem.train_domain, problem.extrap_domain
+                band, reference, metrics.in_train_mask(band.grid, problem.train_domain)
             )
             self._bands[key] = (band, report)
         return self._bands[key]

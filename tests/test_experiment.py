@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from deuq import experiment, problems
+from deuq import experiment, metrics, problems
 from deuq.cli import main
 from deuq.errors import ConfigError
 from deuq.uq.predictive import PredictiveBand
@@ -109,10 +109,14 @@ def test_config_echo_reports_every_effective_parameter(tmp_path):
     assert "sub_seeds" in echo
 
 
+def _inside(band, train_domain=((0.0, 2.0),)):
+    return metrics.in_train_mask(band.grid, train_domain)
+
+
 def test_band_csv_schema_single_point(tmp_path):
     band = PredictiveBand(np.array([[0.5]]), np.array([[1.0]]), np.array([[0.1]]), enforced=True)
     path = tmp_path / "one.csv"
-    experiment.emit_band_csv(band, np.array([[0.9]]), ((0.0, 2.0),), path)
+    experiment.emit_band_csv(band, np.array([[0.9]]), _inside(band), path)
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 2
     assert lines[0] == "t,mean,std,reference,in_train_domain"
@@ -123,7 +127,7 @@ def test_band_csv_two_coordinates(tmp_path):
     grid = np.array([[0.0, 0.0], [0.5, 1.2]])
     band = PredictiveBand(grid, np.zeros((2, 1)), np.ones((2, 1)), enforced=True)
     path = tmp_path / "two.csv"
-    experiment.emit_band_csv(band, np.zeros((2, 1)), ((-1.0, 1.0), (0.0, 1.0)), path)
+    experiment.emit_band_csv(band, np.zeros((2, 1)), _inside(band, ((-1.0, 1.0), (0.0, 1.0))), path)
     lines = path.read_text().strip().split("\n")
     assert lines[0].startswith("x,t,")
     assert lines[1].split(",")[-1] == "1"
@@ -134,7 +138,7 @@ def test_band_csv_multi_output_suffixes(tmp_path):
     grid = np.array([[0.0], [3.0]])
     band = PredictiveBand(grid, np.zeros((2, 2)), np.ones((2, 2)), enforced=True)
     path = tmp_path / "lv.csv"
-    experiment.emit_band_csv(band, np.zeros((2, 2)), ((0.0, 2.0),), path)
+    experiment.emit_band_csv(band, np.zeros((2, 2)), _inside(band), path)
     header = path.read_text().split("\n")[0]
     assert header == "t,mean_0,std_0,reference_0,mean_1,std_1,reference_1,in_train_domain"
 
@@ -146,7 +150,7 @@ def test_band_csv_roundtrip_and_report(tmp_path):
                           np.abs(rng.normal(size=(13, 1))) + 0.05, enforced=True)
     reference = rng.normal(size=(13, 1))
     path = tmp_path / "band.csv"
-    experiment.emit_band_csv(band, reference, ((0.0, 2.0),), path)
+    experiment.emit_band_csv(band, reference, _inside(band), path)
     loaded, ref_loaded, inside = experiment.read_band_csv(path)
     np.testing.assert_allclose(loaded.mean, band.mean, rtol=1e-8)
     np.testing.assert_allclose(ref_loaded, reference, rtol=1e-8)
@@ -169,12 +173,22 @@ def test_report_from_csv_matches_the_run_report(tmp_path):
     assert recomputed["rmse_train"] == pytest.approx(saved["rmse_train"], abs=1e-8 * scale)
 
 
+def test_burgers_report_coverage_equals_report_from_csv(tmp_path):
+    # the enforced band has zero std at x = +-1 and t = 0, where its mean
+    # and the reference differ by rounding, in memory and in the CSV alike
+    paths = experiment.run(_cfg(tmp_path, preset="burgers", method="nlm", seed=0,
+                                epochs_stage1=50, epochs_stage2=20, n_collocation=8,
+                                dataset_grid=12, eval_grid=9, hidden_sizes=(8,)))
+    saved = json.loads(paths.report_json.read_text())
+    assert saved["coverage_k2"] == experiment.report_from_csv(paths.band_csv)["coverage_k2"]
+
+
 def test_emitted_csv_is_identical_on_reemission(tmp_path):
     grid = np.linspace(0.0, 3.0, 5).reshape(-1, 1)
     band = PredictiveBand(grid, np.ones((5, 1)), np.ones((5, 1)), enforced=True)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    experiment.emit_band_csv(band, np.ones((5, 1)), ((0.0, 2.0),), a)
-    experiment.emit_band_csv(band, np.ones((5, 1)), ((0.0, 2.0),), b)
+    experiment.emit_band_csv(band, np.ones((5, 1)), _inside(band), a)
+    experiment.emit_band_csv(band, np.ones((5, 1)), _inside(band), b)
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -299,6 +313,7 @@ def test_cli_run_rejects_bad_stage2_settings_before_stage1(tmp_path, capsys, fla
     ("--der-lambda", "nan"),
     ("--tolerance", "nan"),
     ("--epochs-stage1", "-5"),
+    ("--seed", "-1"),
 ])
 def test_cli_run_rejects_nan_settings_and_negative_stage1_epochs(tmp_path, capsys, flag, value):
     # NaN fails every comparison, so each rule must ask for the good case
@@ -338,7 +353,7 @@ def test_cli_report_rejects_nonpositive_coverage_k(tmp_path, capsys, k):
     grid = np.linspace(0.0, 3.0, 7).reshape(-1, 1)
     band = PredictiveBand(grid, np.ones((7, 1)), np.ones((7, 1)), enforced=True)
     path = tmp_path / "band.csv"
-    experiment.emit_band_csv(band, np.ones((7, 1)), ((0.0, 2.0),), path)
+    experiment.emit_band_csv(band, np.ones((7, 1)), _inside(band), path)
     assert main(["report", "--band", str(path), "--coverage-k", k]) == 2
     assert "coverage width k" in capsys.readouterr().err
 
@@ -444,6 +459,7 @@ def test_cli_uq_rejects_a_stage1_file_of_another_preset(tmp_path, capsys):
     "t,mean,std,reference,in_train_domain\n0.5,1,x,0.9,1\n",
     "t,mean,std,reference,in_train_domain\n",
     "t,mean,in_train_domain\n0.5,1,1\n",
+    "t,mean,std,reference,in_train_domain\n0.5,1,0.1,0.9,1\n1.0,0.9,0.1,0.85,1\n",
 ])
 def test_cli_report_rejects_an_unreadable_band_csv(tmp_path, capsys, content):
     path = tmp_path / "band.csv"

@@ -11,7 +11,6 @@ from deuq.uq.predictive import PredictiveBand
 
 GRID = np.linspace(0.0, 3.0, 7).reshape(-1, 1)
 TRAIN = ((0.0, 2.0),)
-EXTRAP = ((0.0, 3.0),)
 
 
 def _band(mean, std):
@@ -27,6 +26,13 @@ def test_coverage_full_with_huge_std():
 def test_coverage_zero_with_zero_std():
     band = _band(np.zeros(7), np.zeros(7))
     assert metrics.coverage(band, np.ones((7, 1)), 2.0) == 0.0
+
+
+def test_coverage_zero_std_within_csv_precision():
+    # at zero std a gap of rounding size is covered, a real one is not
+    band = _band(np.zeros(7), np.zeros(7))
+    reference = np.array([1e-15] * 3 + [1e-3] * 4).reshape(-1, 1)
+    assert metrics.coverage(band, reference, 2.0) == pytest.approx(3.0 / 7.0)
 
 
 def test_coverage_hand_count():
@@ -52,7 +58,8 @@ def test_coverage_monotone_in_k(k, bump):
 
 
 def _inflation(band):
-    return metrics.band_report(band, band.mean, TRAIN, EXTRAP).inflation_ratio
+    inside = metrics.in_train_mask(band.grid, TRAIN)
+    return metrics.band_report(band, band.mean, inside).inflation_ratio
 
 
 def test_inflation_uniform_std_is_one():
@@ -107,7 +114,7 @@ def test_rmse_rejects_empty_and_mismatched():
 def test_band_report_fields():
     std = np.where(GRID[:, 0] > 2.0, 0.4, 0.1)
     band = _band(GRID[:, 0] * 0.0, std)
-    report = metrics.band_report(band, np.zeros((7, 1)), TRAIN, EXTRAP)
+    report = metrics.band_report(band, np.zeros((7, 1)), metrics.in_train_mask(GRID, TRAIN))
     assert report.coverage_k2 == 1.0
     assert report.rmse_train == 0.0
     assert report.mean_std_train == pytest.approx(0.1)

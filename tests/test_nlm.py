@@ -36,6 +36,10 @@ def test_fit_validation():
         nlm_fit(np.ones((1, 1)), np.ones(1), eps=0.0, prior_std=1.0)
     with pytest.raises(ConfigError):
         nlm_fit(np.ones((1, 1)), np.ones(1), eps=1.0, prior_std=-1.0)
+    with pytest.raises(ConfigError):
+        nlm_fit(np.ones((1, 1)), np.ones(1), eps=math.nan, prior_std=1.0)
+    with pytest.raises(ConfigError):
+        nlm_fit(np.ones((1, 1)), np.ones(1), eps=1.0, prior_std=math.nan)
     with pytest.raises(StructuralError):
         nlm_fit(np.array([[np.inf]]), np.ones(1), eps=1.0, prior_std=1.0)
     with pytest.raises(StructuralError):

@@ -14,7 +14,6 @@ from deuq.uq.variational import (
     bbb_train,
     flipout_train,
     sign_dims,
-    softplus_sigma,
 )
 from oracles import Var, bbb_sample_weights, flipout_perturb, grad_params, kernel_node, kl_gaussian_diag
 
@@ -26,17 +25,17 @@ def _q(cfg=CFG, rho=-1.0):
 
 
 def test_softplus_values():
-    assert softplus_sigma(0.0) == pytest.approx(math.log(2.0), rel=1e-12)
-    assert softplus_sigma(5.0) == pytest.approx(5.006715348, abs=1e-8)
-    tiny = softplus_sigma(-40.0)
+    assert softplus(0.0) == pytest.approx(math.log(2.0), rel=1e-12)
+    assert softplus(5.0) == pytest.approx(5.006715348, abs=1e-8)
+    tiny = softplus(-40.0)
     assert 0.0 < tiny < 1e-17
 
 
 @given(st.floats(min_value=-700.0, max_value=100.0, allow_nan=False))
 def test_softplus_positive_for_finite_rho(rho):
-    assert softplus_sigma(rho) >= 0.0
+    assert softplus(rho) >= 0.0
     if rho > -700:
-        assert softplus_sigma(rho) > 0.0 or rho < -745  # underflow floor
+        assert softplus(rho) > 0.0 or rho < -745  # underflow floor
 
 
 def test_kl_zero_iff_prior():
