@@ -16,7 +16,8 @@ it prints whether the band digests of the two `.perfbench/result-*.json`
 records are equal. With `--json PATH` it also writes that summary to PATH:
 per metric the parent's median and quartiles, this checkout's median and
 the wins, with the seeds and the number of seeds whose digests were equal.
-Exits 1 if any run is not `correct`.
+Exits 1 if any run is not `correct`. `run_pairs` is the same run for
+another script (scripts/bench.py).
 """
 
 import argparse
@@ -47,25 +48,18 @@ def quartiles(values: list) -> tuple:
     return tuple(statistics.quantiles(values, n=4)) if len(values) > 1 else (values[0],) * 3
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("parent", type=Path, help="root of the parent checkout")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, required=True)
-    parser.add_argument("--first-seed", type=int, required=True)
-    parser.add_argument("--json", type=Path, help="also write the summary to this file")
-    args = parser.parse_args()
+def run_pairs(parent_root: Path, workload: str, n_pairs: int, first_seed: int) -> dict:
+    """Run the pairs and print them; returns the summary that --json writes."""
     spec = json.loads((HERE / "BENCHMARK.json").read_text())
-    roots = {"parent": args.parent.resolve(), "change": HERE}
+    roots = {"parent": parent_root.resolve(), "change": HERE}
 
     runs = {"parent": [], "change": []}
     correct, equal = True, 0
-    for i in range(args.pairs):
-        seed = args.first_seed + i
+    for i in range(n_pairs):
+        seed = first_seed + i
         digests = {}
         for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-            result, digests[side] = bench(roots[side], args.workload, seed, spec["run_seconds"])
+            result, digests[side] = bench(roots[side], workload, seed, spec["run_seconds"])
             correct &= result["correct"]
             runs[side].append({k: m["value"] for k, m in result["metrics"].items()})
         figures = " ".join(f"{m['name']} {runs['parent'][-1].get(m['name'], float('nan')):.4g}"
@@ -93,14 +87,25 @@ def main() -> int:
                          "pairs": len(pairs)}
         print(f"{name:12s} {med:14.4g} {f'[{q1:.4g}, {q3:.4g}]':>22s} "
               f"{statistics.median(change):14.4g} {f'{wins}/{len(pairs)}':>6s}")
-    if args.json:
-        seeds = list(range(args.first_seed, args.first_seed + args.pairs))
-        args.json.write_text(json.dumps({
-            "workload": args.workload, "seeds": seeds, "band_digests_equal": equal,
-            "correct": correct, "metrics": summary}, indent=1, sort_keys=True) + "\n")
     if not correct:
         print("some runs were not correct", file=sys.stderr)
-    return 0 if correct else 1
+    return {"workload": workload, "seeds": list(range(first_seed, first_seed + n_pairs)),
+            "band_digests_equal": equal, "correct": correct, "metrics": summary}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("parent", type=Path, help="root of the parent checkout")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--json", type=Path, help="also write the summary to this file")
+    args = parser.parse_args()
+    summary = run_pairs(args.parent, args.workload, args.pairs, args.first_seed)
+    if args.json:
+        args.json.write_text(json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    return 0 if summary["correct"] else 1
 
 
 if __name__ == "__main__":

@@ -80,10 +80,11 @@ def main() -> None:
             files[f"{preset}/{method}"] = (paths.band_csv, paths.report_json)
             if old is not None:
                 continue
+            inflation = report["inflation_ratio"]  # null for a band flat inside
             print(
                 f"{preset:15s} {method:8s} "
                 f"coverage={report['coverage_k2']:.3f} "
-                f"inflation={report['inflation_ratio']:8.2f} "
+                f"inflation={'null' if inflation is None else format(inflation, '8.2f'):>8s} "
                 f"std_train={report['mean_std_train']:.2e} "
                 f"rmse={report['rmse_train']:.2e} "
                 f"wall={wall_s:7.2f}s",

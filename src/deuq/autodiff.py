@@ -8,27 +8,22 @@ Two number types live here:
   order, and every jet computed from it is too. Components may be floats,
   numpy arrays or ``Dual`` numbers.
 * ``Dual`` — a value with its first derivatives along a few seeded inputs
-  (a leading tangent axis). A loss that sums pointwise terms runs on duals
-  seeded with the network's output streams, and so yields its value and
-  its cotangent on those streams in one pass; the network's own backward
-  pass (``deuq.nets.JetKernel.backward``) does the rest. Stage one runs
-  its residual on jets of duals.
+  (a leading tangent axis), under + - * and integer powers. Stage one runs
+  its residual on jets of duals seeded with the network's output streams,
+  and so gets the loss and its cotangent on those streams in one pass; the
+  network's own backward pass (``deuq.nets.JetKernel.backward``) does the
+  rest.
 
-The module-level functions dispatch on the argument type, with a branch
-only for the number types the pipeline passes them: ``exp`` and ``sin``
-take jets (the condition-enforcing transforms), ``log``, ``softplus``,
-``absolute`` and ``lgamma_gap`` take duals (the evidential loss), and all
-of them take plain numbers and arrays; a type defined elsewhere (the test
-tape) registers its own ``lgamma_gap``. Nothing is recorded: every call
-is a pure function of its arguments, and repeated evaluation yields
-bit-identical results. The special functions are numpy series: the
-package imports no scipy.
+``exp`` and ``sin`` take jets (the condition-enforcing transforms) and
+plain numbers and arrays. Nothing is recorded: every call is a pure
+function of its arguments, and repeated evaluation yields bit-identical
+results. The special functions are numpy series: the package imports no
+scipy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import singledispatch
 from typing import Any
 
 import numpy as np
@@ -57,9 +52,6 @@ class Dual:
         self.value = value
         self.d = d
 
-    def __getitem__(self, key):  # a key led by Ellipsis indexes value and tangents alike
-        return Dual(self.value[key], self.d[key])
-
     def __add__(self, other):
         if isinstance(other, Dual):
             return Dual(self.value + other.value, self.d + other.d)
@@ -85,24 +77,10 @@ class Dual:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, Dual):
-            value = self.value / other.value
-            return Dual(value, (self.d - other.d * value) / other.value)
-        return Dual(self.value / other, self.d / other)
-
-    def __rtruediv__(self, other):
-        value = other / self.value
-        return Dual(value, self.d * (-value / self.value))
-
     def __pow__(self, n):
         if not isinstance(n, int):
             raise ConfigError("Dual.__pow__ supports integer exponents only")
         return Dual(self.value**n, self.d * (n * self.value ** (n - 1)))
-
-
-def _chain(x: Dual, value, dfdx) -> Dual:
-    return Dual(value, x.d * dfdx)
 
 
 # ---------------------------------------------------------------------
@@ -192,12 +170,6 @@ def sin(x):
     return np.sin(x)
 
 
-def log(x):
-    if isinstance(x, Dual):
-        return _chain(x, np.log(x.value), 1.0 / x.value)
-    return np.log(x)
-
-
 def expit(x, out=None):
     """The logistic sigmoid 1 / (1 + exp(-x)), silently 0 where exp(-x) overflows."""
     with np.errstate(over="ignore"):
@@ -208,16 +180,7 @@ def expit(x, out=None):
 
 def softplus(x):
     """log(1 + exp(x)), overflow-safe for large |x|."""
-    if isinstance(x, Dual):  # the derivative, expit, as exp(x - softplus(x)): no overflow
-        value = np.logaddexp(0.0, x.value)
-        return _chain(x, value, np.exp(x.value - value))
     return np.logaddexp(0.0, x)
-
-
-def absolute(x):
-    if isinstance(x, Dual):
-        return _chain(x, np.abs(x.value), np.sign(x.value))
-    return np.abs(x)
 
 
 # log Gamma(t) - log Gamma(t + 1/2) ~ -log(t)/2 + t sum_j g_j t^-2j, from the
@@ -254,14 +217,3 @@ def lgamma_gap_slope(x):
     pair_slopes = (1.0 - (2.0 * x + 7.0) * q) / (d + shift)
     return gap, series[1] - 0.5 * inv + u * pair_slopes.sum(axis=0)
 
-
-@singledispatch
-def lgamma_gap(x):
-    """log Gamma(x) - log Gamma(x + 1/2) for x > 0, as the evidential loss
-    takes it; other number types register their branch."""
-    return lgamma_gap_slope(x)[0]
-
-
-@lgamma_gap.register(Dual)
-def _(x: Dual) -> Dual:
-    return _chain(x, *lgamma_gap_slope(x.value))

@@ -142,7 +142,7 @@ def _cmd_uq(args) -> int:
 
 def _cmd_report(args) -> int:
     report = experiment.report_from_csv(args.band, args.coverage_k)
-    text = json.dumps(report, sort_keys=True, indent=2)
+    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False)
     if args.out:
         atomic_write(args.out, text + "\n")
         print(f"report: {args.out}")

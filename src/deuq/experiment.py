@@ -322,9 +322,11 @@ def run_uq(config: ExperimentConfig, result: stage1.Stage1Result,
             },
             sort_keys=True,
             indent=2,
+            allow_nan=False,
         ),
     )
-    _atomic_write(paths.config_json, json.dumps(config.resolved(), sort_keys=True, indent=2))
+    _atomic_write(paths.config_json,
+                  json.dumps(config.resolved(), sort_keys=True, indent=2, allow_nan=False))
     return paths
 
 
@@ -359,18 +361,21 @@ def emit_band_csv(band: PredictiveBand, reference: np.ndarray,
 
 def read_band_csv(path) -> tuple[PredictiveBand, np.ndarray, np.ndarray]:
     """Load a band CSV back into (band, reference, in_train mask). A file
-    that is missing, does not hold the schema, or has no grid point inside
-    or none outside the training domain is a ConfigError."""
+    that is missing, does not hold the schema, holds a value that is not
+    finite, or has no grid point inside or none outside the training
+    domain is a ConfigError."""
     try:
         with open(path) as fh:
-            header = fh.readline().rstrip("\n").split(",")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+            header, *rows = fh.read().splitlines()
+        # numpy warns on a file with no rows; such a file has no grid points
+        data = np.loadtxt(rows, delimiter=",", ndmin=2) if any(rows) else np.empty((0, 0))
     except (OSError, ValueError) as e:
         raise ConfigError(f"band CSV {path} is not readable: {e}") from None
+    header = header.split(",")
     n_coords = sum(1 for c in header if c in ("t", "x"))
     n_values = len(header) - n_coords - 1  # a mean, std, reference triple per output
     if not (n_coords and n_values > 0 and n_values % 3 == 0 and data.shape[1] == len(header)
-            and 0 < np.count_nonzero(data[:, -1] > 0.5) < len(data)):
+            and np.isfinite(data).all() and 0 < np.count_nonzero(data[:, -1] > 0.5) < len(data)):
         raise ConfigError(f"band CSV {path} does not hold the band schema")
     vals = data[:, n_coords:-1]
     band = PredictiveBand(data[:, :n_coords], vals[:, 0::3], vals[:, 1::3], enforced=True)

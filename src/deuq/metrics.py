@@ -6,7 +6,6 @@ flaring band outside it) into numbers a test can pin down.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,13 +22,14 @@ class BandReport:
 
     coverage_k2 and rmse_train are computed over the training-domain part
     of the grid; inflation_ratio is mean std outside the training domain
-    over mean std inside (infinite when the inside band is exactly flat).
+    over mean std inside, None (JSON null) when the inside band is exactly
+    flat and the ratio has no finite value.
     """
 
     coverage_k2: float
     mean_std_train: float
     mean_std_extrap: float
-    inflation_ratio: float
+    inflation_ratio: float | None
     rmse_train: float
 
 
@@ -84,7 +84,7 @@ def band_report(band: PredictiveBand, reference: np.ndarray, inside: np.ndarray,
         coverage_k2=coverage(train_band, reference[inside], k),
         mean_std_train=std_in,
         mean_std_extrap=std_out,
-        inflation_ratio=math.inf if std_in == 0.0 else std_out / std_in,
+        inflation_ratio=None if std_in == 0.0 else std_out / std_in,
         rmse_train=rmse(band.mean[inside], reference[inside]),
     )
 

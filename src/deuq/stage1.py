@@ -215,7 +215,7 @@ def save_result(result: Stage1Result, path, problem_overrides: dict | None = Non
         },
         "settings_digest": settings_digest,
     }
-    atomic_write(path, json.dumps(payload, sort_keys=True))
+    atomic_write(path, json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 def load_result(path) -> Stage1Result:

@@ -3,10 +3,11 @@
 A four-channel network output parametrizes the NIG hyperparameters
 (gamma, nu, alpha, beta); maximizing the analytic model evidence (a
 Student-t marginal) plus an evidence penalty on wrong predictions trains
-them directly, with no weight sampling. The same loss expression runs on
-plain numbers and on ``Dual`` numbers seeded with the four channels, so
-hand-value checks exercise the exact code the trainer differentiates, and
-the trainer gets the loss and its cotangent on the channels in one pass.
+them directly, with no weight sampling. The loss has closed-form partials
+in the four hyperparameters (Amini et al. 2020), computed next to its
+value in one function, so hand-value checks exercise the exact code the
+trainer differentiates; the trainer chains the partials through the head
+to the network's output channels.
 
 Like the other stage-two methods, the fit sees the stage-one solution as
 data observed with a fixed Gaussian scale ``eps``. The NIG head carries
@@ -27,7 +28,7 @@ from typing import Any
 import numpy as np
 
 from .. import nets
-from ..autodiff import Dual, absolute, lgamma_gap, log, softplus
+from ..autodiff import lgamma_gap_slope, softplus
 from ..errors import ConfigError, DomainError
 from ..nets import grad_params
 from ..optim import fit
@@ -48,15 +49,14 @@ class EvidentialOutput:
 def der_head(raw) -> EvidentialOutput:
     """Map raw 4-channel output(s) to valid NIG hyperparameters.
 
-    ``raw`` may be a length-4 vector, an (n, 4) array, or a Dual with a
-    trailing axis of size 4.
+    ``raw`` may be a length-4 vector or an (n, 4) array.
     """
-    return EvidentialOutput(
-        gamma=raw[..., 0],
-        nu=softplus(raw[..., 1]),
-        alpha=1.0 + softplus(raw[..., 2]),
-        beta=softplus(raw[..., 3]),
-    )
+    return _nig(raw[..., 0], softplus(raw[..., 1:]))
+
+
+def _nig(gamma, soft) -> EvidentialOutput:
+    """The head on gamma and the softplus of the other three raw channels."""
+    return EvidentialOutput(gamma=gamma, nu=soft[..., 0], alpha=1.0 + soft[..., 1], beta=soft[..., 2])
 
 
 def check_lambda(lam: float) -> None:
@@ -67,18 +67,36 @@ def check_lambda(lam: float) -> None:
 def der_loss(out: EvidentialOutput, target, lam: float = 0.0):
     """Negative log marginal likelihood of the NIG evidence plus the
     evidence regularizer lam * |target - gamma| * (2 nu + alpha)."""
+    return der_loss_partials(out, target, lam)[0]
+
+
+def der_loss_partials(out: EvidentialOutput, target, lam: float = 0.0) -> tuple:
+    """``der_loss`` and its partials in gamma, nu, alpha and beta. With
+    e = target - gamma, Omega = 2 beta (1 + nu) and Q = nu e^2 + Omega:
+    d/dgamma = -(alpha + 1/2) 2 nu e / Q - lam sign(e) (2 nu + alpha),
+    d/dnu = -1/(2 nu) - 2 alpha beta / Omega + (alpha + 1/2)(e^2 + 2 beta) / Q + 2 lam |e|,
+    d/dalpha = log Q - log Omega + digamma(alpha) - digamma(alpha + 1/2) + lam |e|,
+    d/dbeta = -alpha / beta + 2 (alpha + 1/2)(1 + nu) / Q."""
     check_lambda(lam)
-    err = target - out.gamma
-    two_beta_l = 2.0 * out.beta * (1.0 + out.nu)
-    nll = (
-        0.5 * log(math.pi / out.nu)
-        - out.alpha * log(two_beta_l)
-        + (out.alpha + 0.5) * log(out.nu * err * err + two_beta_l)
-        + lgamma_gap(out.alpha)
-    )
-    if lam == 0.0:
-        return nll
-    return nll + lam * absolute(err) * (2.0 * out.nu + out.alpha)
+    gamma, nu, alpha, beta = out.gamma, out.nu, out.alpha, out.beta
+    err = target - gamma
+    two_beta_l = 2.0 * beta * (1.0 + nu)
+    q = nu * err * err + two_beta_l
+    log_omega, log_q = np.log(two_beta_l), np.log(q)
+    gap, slope = lgamma_gap_slope(alpha)
+    a_half = alpha + 0.5
+    nll = 0.5 * np.log(math.pi / nu) - alpha * log_omega + a_half * log_q + gap
+    d_gamma = -a_half * 2.0 * nu * err / q
+    d_nu = -0.5 / nu - 2.0 * alpha * beta / two_beta_l + a_half * (err * err + 2.0 * beta) / q
+    d_alpha = log_q - log_omega + slope
+    d_beta = -alpha / beta + 2.0 * a_half * (1.0 + nu) / q
+    if lam != 0.0:
+        abs_err = np.abs(err)
+        nll = nll + lam * abs_err * (2.0 * nu + alpha)
+        d_gamma = d_gamma - lam * np.sign(err) * (2.0 * nu + alpha)
+        d_nu = d_nu + 2.0 * lam * abs_err
+        d_alpha = d_alpha + lam * abs_err
+    return nll, (d_gamma, d_nu, d_alpha, d_beta)
 
 
 def _scale_floor(out: EvidentialOutput, eps: float) -> EvidentialOutput:
@@ -127,22 +145,24 @@ def der_train(dataset, net_config: nets.MLPConfig, lam: float,
         raise ConfigError("every dataset point sits on a condition surface")
     x0 = np.array(init_params, dtype=float) if init_params is not None else nets.init(net_config).flat()
     kernel = nets.JetKernel(net_config, X, np.zeros((0, X.shape[1])), ())  # values only
-    channels = np.eye(4)[:, None, :]  # one tangent per channel, on every point
 
     def loss_and_grad(flat):
         raw = kernel.forward(flat)[0]
         loss, cotangent = 0.0, np.zeros((1, *raw.shape))
         for k in range(n_outputs):
             idx = keep[k]
-            head = _scale_floor(der_head(Dual(raw[idx, 4 * k : 4 * k + 4], channels)), like.eps)
-            head = EvidentialOutput(
-                gamma=A[idx, k] + B[idx, k] * head.gamma,
-                nu=head.nu, alpha=head.alpha,
-                beta=B[idx, k] ** 2 * head.beta,
-            )
-            nll = der_loss(head, Y[idx, k], lam)
-            loss = loss + nll.value.mean()
-            cotangent[0, idx, 4 * k : 4 * k + 4] = (nll.d / idx.size).T
+            channels = raw[idx, 4 * k : 4 * k + 4]
+            soft = softplus(channels[:, 1:])
+            slopes = np.exp(channels[:, 1:] - soft)  # softplus' slope, expit, without overflow
+            head = _scale_floor(_nig(channels[:, 0], soft), like.eps)
+            b, b2 = B[idx, k], B[idx, k] ** 2
+            head = EvidentialOutput(gamma=A[idx, k] + b * head.gamma, nu=head.nu,
+                                    alpha=head.alpha, beta=b2 * head.beta)
+            nll, (d_gamma, d_nu, d_alpha, d_beta) = der_loss_partials(head, Y[idx, k], lam)
+            loss = loss + nll.mean()
+            d_raw = (b * d_gamma, d_nu * slopes[:, 0],
+                     (d_alpha + b2 * like.eps**2 * d_beta) * slopes[:, 1], b2 * d_beta * slopes[:, 2])
+            cotangent[0, idx, 4 * k : 4 * k + 4] = np.stack(d_raw, axis=1) / idx.size
         return float(loss), lambda: grad_params(kernel, cotangent)
 
     flat, history = fit(

@@ -40,6 +40,8 @@ class PredictiveBand:
             self.std = self.std.reshape(-1, 1)
         if self.mean.shape != self.std.shape or self.mean.shape[0] != self.grid.shape[0]:
             raise StructuralError("band arrays disagree in shape")
+        if not all(np.isfinite(a).all() for a in (self.grid, self.mean, self.std)):
+            raise StructuralError("band arrays must be finite")
         if np.any(self.std < 0.0):
             raise StructuralError("band std must be nonnegative")
 

@@ -9,14 +9,16 @@ output to `deuq.nets.JetKernel.backward`. The tape stays as the oracle:
   `tape_stage1_loss`, `tape_nlm_loss`, `tape_der_loss` and
   `tape_variational_loss` are the four training losses as first written
   on it. Production must give the same loss value and the same gradient.
-- `Var` takes numpy's ufuncs (`np.exp`, `np.tanh`, `np.logaddexp`, ...)
-  and registers its branch of `deuq.autodiff.lgamma_gap`, which records
-  deuq's own log-gamma gap series with its digamma difference as the
-  derivative. So the dispatched functions of `deuq.autodiff` run on it
-  unchanged, with the arithmetic of the production loss.
-- `exp`, `sin`, `cos`, `tanh`, `log`, `softplus` and `sigmoid` take jets
-  and duals alike; `deuq.autodiff` keeps only the branches the pipeline
-  runs.
+- `Var` takes numpy's ufuncs (`np.exp`, `np.tanh`, `np.logaddexp`, ...),
+  so the functions of `deuq.autodiff` run on it unchanged, with the
+  arithmetic of the production code. `nig_loss` is the evidential loss as
+  first written, on tape nodes; `lgamma_gap` records deuq's own log-gamma
+  gap series with its digamma difference as the derivative. Production
+  takes that loss's partials in closed form instead
+  (`deuq.uq.der.der_loss_partials`).
+- `exp`, `sin`, `cos`, `tanh`, `log`, `softplus`, `sigmoid` and
+  `lgamma_gap` take jets or duals too; `deuq.autodiff` keeps only the
+  branches the pipeline runs.
 
 The stage-1 network once ran as generic jet arithmetic over the tape:
 every layer a Jet2 of Var nodes, every direction a full second-order
@@ -68,7 +70,7 @@ from deuq import autodiff, nets, problems, stage1
 from deuq.autodiff import Dual, Jet2, expit
 from deuq.errors import ConfigError, OracleError, StructuralError
 from deuq.uq.common import GaussianPrior
-from deuq.uq.der import EvidentialOutput, _scale_floor, der_head, der_loss
+from deuq.uq.der import EvidentialOutput, _scale_floor, der_head
 from deuq.uq.nlm import NLMPosterior, feature_map
 from deuq.uq.variational import VariationalParams, sign_dims
 
@@ -311,11 +313,6 @@ def _var_unary(x: Var, value: np.ndarray, dfdx: np.ndarray) -> Var:
     return Var(value, (x,), lambda g: (_unbroadcast(g * dfdx, x.shape),))
 
 
-@autodiff.lgamma_gap.register(Var)
-def _lgamma_gap_var(x: Var) -> Var:
-    return _var_unary(x, *autodiff.lgamma_gap_slope(x.data))
-
-
 def transpose(x: Var) -> Var:
     return Var(x.data.T, (x,), lambda g: (g.T,))
 
@@ -354,8 +351,8 @@ def kernel_node(kernel: nets.JetKernel, flat: Var, delta: Var | None = None,
 # ---------------------------------------------------------------------
 # `deuq.autodiff` gives each function a branch only for the number types
 # the pipeline passes it. The jet and dual branches below complete the set
-# for the network-on-jets oracle and the derivative tests; every other
-# argument goes on to `deuq.autodiff`.
+# for the network-on-jets oracle, the tape's NIG loss and the derivative
+# tests; every other argument goes on to `deuq.autodiff` or to numpy.
 
 
 def exp(x):
@@ -390,13 +387,18 @@ def tanh(x):
 
 
 def log(x):
+    if isinstance(x, Dual):
+        return Dual(np.log(x.value), x.d * (1.0 / x.value))
     if isinstance(x, Jet2):
         d1 = x.d1 / x.value
         return Jet2(np.log(x.value), d1, x.d2 / x.value - d1 * d1 if x.d2 is not None else None)
-    return autodiff.log(x)
+    return np.log(x)
 
 
 def softplus(x):
+    if isinstance(x, Dual):
+        value = np.logaddexp(0.0, x.value)
+        return Dual(value, x.d * np.exp(x.value - value))
     if isinstance(x, Jet2):
         sig = sigmoid(x.value)
         return Jet2(
@@ -420,6 +422,17 @@ def sigmoid(x):
         s = expit(x.data)
         return _var_unary(x, s, s * (1.0 - s))
     return expit(x)
+
+
+def lgamma_gap(x):
+    """log Gamma(x) - log Gamma(x + 1/2) for x > 0, by deuq's series, with
+    digamma(x) - digamma(x + 1/2) as the derivative on tape nodes and duals."""
+    if isinstance(x, Var):
+        return _var_unary(x, *autodiff.lgamma_gap_slope(x.data))
+    if isinstance(x, Dual):
+        gap, slope = autodiff.lgamma_gap_slope(x.value)
+        return Dual(gap, x.d * slope)
+    return autodiff.lgamma_gap_slope(x)[0]
 
 
 # ---------------------------------------------------------------------
@@ -590,6 +603,22 @@ def tape_nlm_loss(kernel: nets.JetKernel, flat: Var, A, B, Y) -> Var:
     return ((A + B * kernel_node(kernel, flat)[0] - Y) ** 2).mean()
 
 
+def nig_loss(out: EvidentialOutput, target, lam: float):
+    """The negative log NIG evidence plus the evidence regularizer, in the
+    operation order of `deuq.uq.der.der_loss`, on tape nodes or arrays."""
+    err = target - out.gamma
+    two_beta_l = 2.0 * out.beta * (1.0 + out.nu)
+    nll = (
+        0.5 * np.log(math.pi / out.nu)
+        - out.alpha * np.log(two_beta_l)
+        + (out.alpha + 0.5) * np.log(out.nu * err * err + two_beta_l)
+        + lgamma_gap(out.alpha)
+    )
+    if lam == 0.0:
+        return nll
+    return nll + lam * np.abs(err) * (2.0 * out.nu + out.alpha)
+
+
 def tape_der_loss(kernel: nets.JetKernel, flat: Var, A, B, Y, keep: Sequence[np.ndarray],
                   lam: float, eps: float) -> Var:
     """The evidential objective: per output, the mean NIG loss of the
@@ -603,7 +632,7 @@ def tape_der_loss(kernel: nets.JetKernel, flat: Var, A, B, Y, keep: Sequence[np.
             nu=head.nu, alpha=head.alpha,
             beta=B[idx, k] ** 2 * head.beta,
         )
-        term = der_loss(head, Y[idx, k], lam).mean()
+        term = nig_loss(head, Y[idx, k], lam).mean()
         loss = term if loss is None else loss + term
     return loss
 

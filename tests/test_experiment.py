@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -460,13 +461,27 @@ def test_cli_uq_rejects_a_stage1_file_of_another_preset(tmp_path, capsys):
     "t,mean,std,reference,in_train_domain\n",
     "t,mean,in_train_domain\n0.5,1,1\n",
     "t,mean,std,reference,in_train_domain\n0.5,1,0.1,0.9,1\n1.0,0.9,0.1,0.85,1\n",
+    "t,mean,std,reference,in_train_domain\n0.5,nan,0.1,0.9,1\n1.0,0.9,0.1,0.85,1\n2.5,0.5,0.4,0.2,0\n",
+    "t,mean,std,reference,in_train_domain\n0.5,1,0.1,0.9,1\n1.0,0.9,inf,0.85,1\n2.5,0.5,0.4,0.2,0\n",
 ])
 def test_cli_report_rejects_an_unreadable_band_csv(tmp_path, capsys, content):
     path = tmp_path / "band.csv"
     if content is not None:
         path.write_text(content)
-    assert main(["report", "--band", str(path)]) == 2
-    assert str(path) in capsys.readouterr().err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's own complaint must not reach the user
+        assert main(["report", "--band", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert str(path) in err and not out
+
+
+def test_cli_report_writes_null_inflation_for_a_flat_train_band(tmp_path, capsys):
+    band = tmp_path / "band.csv"
+    band.write_text("t,mean,std,reference,in_train_domain\n"
+                    "0.5,1.0,0,1.0,1\n1.0,0.9,0,0.9,1\n2.5,0.5,0.4,0.2,0\n")
+    assert main(["report", "--band", str(band)]) == 0
+    out = capsys.readouterr().out
+    assert '"inflation_ratio": null' in out and json.loads(out)["coverage_k2"] == 1.0
 
 
 def test_cli_report_out_is_written_atomically(tmp_path, capsys):

@@ -1,7 +1,7 @@
 """Every training loss against its tape oracle and against finite differences.
 
-Production runs each loss in forward mode (stage 1 and der, on Dual numbers)
-or in closed form (nlm, bbb, flipout) and hands the cotangent of the network
+Production runs each loss in forward mode (stage 1, on Dual numbers) or in
+closed form (nlm, der, bbb, flipout) and hands the cotangent of the network
 output to the kernel's backward pass. The tape in `oracles` records the same
 losses as they were first written. Both must agree on the loss value and on
 the gradient, for every preset and method; central differences check the

@@ -73,10 +73,10 @@ def test_inflation_hand_value():
     assert _inflation(band) == pytest.approx(5.0)
 
 
-def test_inflation_zero_inside_is_infinite():
+def test_inflation_zero_inside_is_none():
     std = np.where(GRID[:, 0] > 2.0, 1.0, 0.0)
     band = _band(np.zeros(7), std)
-    assert _inflation(band) == math.inf
+    assert _inflation(band) is None
 
 
 def test_inflation_requires_points_on_both_sides():

@@ -21,6 +21,11 @@ def test_band_validation():
         PredictiveBand(GRID, np.zeros((31, 1)), np.zeros((30, 1)))
     with pytest.raises(StructuralError):
         PredictiveBand(GRID, np.zeros((31, 1)), -np.ones((31, 1)))
+    for bad in ("grid", "mean", "std"):
+        arrays = {"grid": GRID.copy(), "mean": np.zeros((31, 1)), "std": np.ones((31, 1))}
+        arrays[bad][3] = np.nan if bad == "std" else np.inf
+        with pytest.raises(StructuralError):
+            PredictiveBand(**arrays)
 
 
 def test_mc_band_requires_two_samples():
