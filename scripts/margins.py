@@ -5,7 +5,7 @@
 
 For seeds 0 to N-1 it runs `experiment.run_stage1` and `experiment.run_method`
 with the default settings, as tests/test_acceptance.py does: linear_ode and
-duffing with all four methods, burgers with bbb. It writes JSON with
+duffing with all four methods, burgers with bbb and der. It writes JSON with
 - per preset x method: the min, median and max over seeds of the inflation
   ratio, std_train, 2-sigma coverage and RMSE of the band's report;
 - per preset: the same spread of the stage-1 final loss and of the max
@@ -28,7 +28,7 @@ import numpy as np
 from deuq import experiment, metrics, problems
 
 METHODS = ("bbb", "flipout", "nlm", "der")
-CASES = {"linear_ode": METHODS, "duffing": METHODS, "burgers": ("bbb",)}
+CASES = {"linear_ode": METHODS, "duffing": METHODS, "burgers": ("bbb", "der")}
 REPORT_KEYS = {"inflation": "inflation_ratio", "std_train": "mean_std_train",
                "coverage": "coverage_k2", "rmse": "rmse_train"}
 

@@ -3,109 +3,91 @@
 Subcommands: ``solve`` (stage 1 only), ``uq`` (everything after stage 1,
 on a saved stage-1 file), ``run`` (full pipeline), ``report`` (metrics from
 a saved band CSV).
-Settings may come from a JSON config file; command-line flags override file
-values, which override built-in defaults. Exit codes: 0 success,
-1 numerical failure, 2 configuration error or an unreadable input file.
+``run``, ``solve`` and ``uq`` take one flag per ``ExperimentConfig`` field,
+made from the field's name and type: ``--n-collocation`` for
+``n_collocation``, ``--reuse-stage1``/``--no-reuse-stage1`` for a bool
+field, and ``--out`` for ``output_dir``. Settings may also come from a JSON
+config file holding an object of field names; flag and file values pass
+the same check of the field's type, and flags override file values, which
+override built-in defaults. Exit codes: 0 success, 1 numerical failure,
+2 configuration error or an unreadable input file.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import experiment
 from .errors import ConfigError, DeuqError
 from .stage1 import atomic_write
 
+# field name -> its type, with the None of an optional field dropped
+_FIELD_TYPES = {name: next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+             for name, hint in typing.get_type_hints(experiment.ExperimentConfig).items()}
+
+_HELP = {
+    "preset": "problem preset name",
+    "method": "uncertainty method: bbb | flipout | nlm | der",
+    "hidden_sizes": "comma-separated layer widths, e.g. 32,32",
+    "eps": "fixed Gaussian likelihood scale",
+    "der_lambda": "evidence regularizer weight",
+    "stage2_hidden_sizes": "stage-2 head widths, e.g. 32,32",
+    "stage2_activation": "stage-2 head activation: rbf (default) | tanh | sin | softplus",
+    "output_dir": "output directory for artifacts",
+}
+
 
 def _add_run_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, help="JSON config file (flags override it)")
-    p.add_argument("--preset", help="problem preset name")
-    p.add_argument("--method", help="uncertainty method: bbb | flipout | nlm | der")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--hidden-sizes", help="comma-separated layer widths, e.g. 32,32")
-    p.add_argument("--activation")
-    p.add_argument("--n-collocation", type=int)
-    p.add_argument("--sampler")
-    p.add_argument("--epochs-stage1", type=int)
-    p.add_argument("--lr-stage1", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--dataset-grid", type=int)
-    p.add_argument("--eps", type=float, help="fixed Gaussian likelihood scale")
-    p.add_argument("--prior-std", type=float)
-    p.add_argument("--der-lambda", type=float, help="evidence regularizer weight")
-    p.add_argument("--n-mc-samples", type=int)
-    p.add_argument("--epochs-stage2", type=int)
-    p.add_argument("--lr-stage2", type=float)
-    p.add_argument("--stage2-hidden-sizes", help="stage-2 head widths, e.g. 32,32")
-    p.add_argument("--stage2-activation",
-                   help="stage-2 head activation: rbf (default) | tanh | sin | softplus")
-    p.add_argument("--eval-grid", type=int)
-    p.add_argument("--lv-standard-form", action="store_true", default=None)
-    p.add_argument("--no-reuse-stage1", dest="reuse_stage1", action="store_false", default=None)
-    p.add_argument("--out", dest="output_dir", help="output directory for artifacts")
+    for name, kind in _FIELD_TYPES.items():
+        flag = "--out" if name == "output_dir" else "--" + name.replace("_", "-")
+        how = ({"action": argparse.BooleanOptionalAction} if kind is bool
+               else {"type": kind if kind in (int, float) else str})
+        p.add_argument(flag, dest=name, help=_HELP.get(name), **how)
 
 
-_FLAG_FIELDS = {f.name for f in dataclasses.fields(experiment.ExperimentConfig)}
+def _setting(key: str, value):
+    """A flag or config-file value as the type of field `key`. A float field
+    also takes an integer, and a width field a list of integers or a
+    comma-separated string such as "32,32"."""
+    kind = _FIELD_TYPES[key]
+    if kind is tuple and isinstance(value, str):
+        try:
+            return tuple(int(w) for w in value.split(",") if w)
+        except ValueError:
+            raise ConfigError(f"{key} must be comma-separated integers, got {value!r}") from None
+    if kind is tuple and isinstance(value, list) and all(type(w) is int for w in value):
+        return tuple(value)
+    if type(value) is kind or (kind is float and type(value) is int):
+        return kind(value)
+    raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
 
 
-def _add_coverage_k(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--coverage-k", type=float, default=2.0)
-
-
-def _file_value(key: str, value, flag: argparse.Action):
-    """A config-file value checked with the type of its flag; a float flag
-    also takes an integer, and a width flag a list of integers."""
-    if isinstance(flag.const, bool):
-        ok = isinstance(value, bool)
-    elif flag.type in (int, float):
-        ok = type(value) is int or (flag.type is float and type(value) is float)
-        value = flag.type(value) if ok else value
-    else:
-        ok = isinstance(value, str) or (key.endswith("hidden_sizes") and isinstance(value, list)
-                                        and all(type(w) is int for w in value))
-    if not ok:
-        raise ConfigError(f"config key {key!r} has a value of the wrong type: {value!r}")
-    return value
-
-
-def _widths(key: str, text: str) -> tuple:
-    """Layer widths from a comma-separated list such as "32,32"."""
+def _file_settings(path: Path) -> dict:
+    """The settings of a JSON config file, each checked by `_setting`; a
+    null leaves its field unset, like a flag that is not given."""
     try:
-        return tuple(int(w) for w in text.split(",") if w)
-    except ValueError:
-        raise ConfigError(f"{key} must be comma-separated integers, got {text!r}") from None
+        settings = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as e:  # missing, unreadable or not JSON
+        raise ConfigError(f"config file {path} is not readable JSON: {e}") from None
+    if not isinstance(settings, dict):
+        raise ConfigError(f"config file {path} does not hold a JSON object")
+    unknown = settings.keys() - _FIELD_TYPES.keys()
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    return {key: _setting(key, value) for key, value in settings.items() if value is not None}
 
 
 def _build_config(args: argparse.Namespace) -> experiment.ExperimentConfig:
-    settings: dict = {}
-    if args.config is not None:
-        try:
-            settings.update(json.loads(Path(args.config).read_text()))
-        except FileNotFoundError:
-            raise ConfigError(f"config file not found: {args.config}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"config file {args.config} is not valid JSON: {e}")
-        unknown = set(settings) - _FLAG_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        flags = argparse.ArgumentParser()
-        _add_run_options(flags)
-        _add_coverage_k(flags)  # `report`'s flag, for the coverage_k field
-        flags = {a.dest: a for a in flags._actions}
-        # a null leaves the field unset, like a flag that is not given
-        settings = {key: _file_value(key, value, flags[key])
-                    for key, value in settings.items() if value is not None}
-    for name in _FLAG_FIELDS:
-        value = getattr(args, name, None)
+    settings = {} if args.config is None else _file_settings(args.config)
+    for name in _FIELD_TYPES:
+        value = getattr(args, name)
         if value is not None:
-            settings[name] = value
-    for key in ("hidden_sizes", "stage2_hidden_sizes"):
-        if isinstance(settings.get(key), str):
-            settings[key] = _widths(key, settings[key])
+            settings[name] = _setting(name, value)
     return experiment.ExperimentConfig(**settings)
 
 
@@ -174,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rep = sub.add_parser("report", help="metrics from a saved band CSV")
     p_rep.add_argument("--band", type=Path, required=True)
-    _add_coverage_k(p_rep)
+    p_rep.add_argument("--coverage-k", type=float, default=2.0)
     p_rep.add_argument("--out", type=Path)
     p_rep.set_defaults(func=_cmd_report)
     return parser

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, nets, problems, stage1
-from .errors import ConfigError, StructuralError
+from .errors import ConfigError
 from .stage1 import atomic_write as _atomic_write
 from .uq.common import GaussianPrior, LikelihoodSpec, OptConfig
 from .uq.der import check_lambda, der_evaluate, der_train
@@ -342,11 +342,7 @@ def emit_band_csv(band: PredictiveBand, reference: np.ndarray,
     mask `inside`); one row per grid point in grid order, 9 significant
     digits. Multi-output bands repeat the mean/std/reference triple with
     _0, _1, ... suffixes."""
-    reference = np.asarray(reference, dtype=float)
-    if reference.ndim == 1:
-        reference = reference.reshape(-1, 1)
-    if reference.shape != band.mean.shape:
-        raise StructuralError("reference grid does not align with the band")
+    reference = metrics.aligned_reference(band, reference)
     n, k = band.mean.shape
     coords = ["t"] if band.grid.shape[1] == 1 else ["x", "t"]
     suffixes = [""] if k == 1 else [f"_{i}" for i in range(k)]

@@ -40,7 +40,7 @@ def coverage(band: PredictiveBand, reference: np.ndarray, k: float) -> float:
     1e-12 + 1e-8 * |reference|, so a run and its CSV count the same entries."""
     if not k > 0.0:
         raise ConfigError("coverage width k must be positive")
-    reference = _aligned_reference(band, reference)
+    reference = aligned_reference(band, reference)
     gap = np.abs(band.mean - reference)
     hit = gap <= k * band.std
     hit |= (band.std == 0.0) & (gap <= 1e-12 + 1e-8 * np.abs(reference))
@@ -73,7 +73,7 @@ def band_report(band: PredictiveBand, reference: np.ndarray, inside: np.ndarray,
     mask ``inside`` (the points in the training domain; the grid spans the
     extrapolation domain): coverage and RMSE over the inside points, and the
     inflation ratio of the mean std outside them to the mean std inside."""
-    reference = _aligned_reference(band, reference)
+    reference = aligned_reference(band, reference)
     if not inside.any() or inside.all():
         raise StructuralError("need grid points both inside and outside train_domain")
     std_in = float(band.std[inside].mean())
@@ -89,7 +89,9 @@ def band_report(band: PredictiveBand, reference: np.ndarray, inside: np.ndarray,
     )
 
 
-def _aligned_reference(band: PredictiveBand, reference: np.ndarray) -> np.ndarray:
+def aligned_reference(band: PredictiveBand, reference: np.ndarray) -> np.ndarray:
+    """The reference as an array of the band mean's shape (a 1-D reference
+    becomes one column); a StructuralError if it does not align."""
     reference = np.asarray(reference, dtype=float)
     if reference.ndim == 1:
         reference = reference.reshape(-1, 1)

@@ -44,7 +44,8 @@ class Transform:
     """Condition-enforcing reparametrization u ~> A + B * u.
 
     ``A`` and ``B`` map the list of input jets (one per coordinate) to one
-    jet-like value per output. B is zero at every condition location; A alone
+    jet-like value per output; given plain coordinate arrays, they return
+    plain values. B is zero at every condition location; A alone
     reproduces the conditioned values there.
     """
 
@@ -117,19 +118,16 @@ def residual(problem: ProblemSpec, u: Mapping[int, Sequence[Jet2]], point) -> li
 
 
 def transform_values(transform: Transform, points: np.ndarray, n_outputs: int) -> tuple[np.ndarray, np.ndarray]:
-    """A and B evaluated as plain (n, n_outputs) arrays on grid points."""
+    """A and B evaluated as plain (n, n_outputs) arrays on grid points,
+    called on the coordinate columns themselves."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    jets = [Jet2(points[:, i], 0.0, 0.0) for i in range(points.shape[1])]
-    a = transform.A(jets)
-    b = transform.B(jets)
+    columns = list(points.T)
 
-    def col(x):
-        v = x.value if isinstance(x, Jet2) else x
-        return np.broadcast_to(np.asarray(v, dtype=float), (points.shape[0],))
+    def stacked(values):
+        return np.stack([np.broadcast_to(np.asarray(v, dtype=float), (points.shape[0],))
+                         for v in values], axis=1)
 
-    A = np.stack([col(a_k) for a_k in a], axis=1)
-    B = np.stack([col(b_k) for b_k in b], axis=1)
-    return A, B
+    return stacked(transform.A(columns)), stacked(transform.B(columns))
 
 
 def condition_mask(problem: ProblemSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,6 +31,7 @@ _SAMPLERS = ("equispaced", "uniform_random", "equispaced_jitter")
 
 @dataclass(frozen=True)
 class TrainConfig:
+    dataset_grid: int  # stage-2 dataset points per input dimension
     n_collocation: int = 64  # per input dimension
     sampler: str = "equispaced"
     epochs: int = 6000
@@ -38,7 +39,6 @@ class TrainConfig:
     optimizer: str = "adam"
     seed: int = 0
     tolerance: float = 0.0
-    dataset_grid: int | None = None  # per input dimension; None = preset default
 
     def __post_init__(self):
         if self.n_collocation < 2:
@@ -53,7 +53,7 @@ class TrainConfig:
             raise ConfigError("only the adam optimizer is supported")
         if not self.tolerance >= 0.0:
             raise ConfigError("tolerance must be nonnegative")
-        if self.dataset_grid is not None and self.dataset_grid < 2:
+        if self.dataset_grid < 2:
             raise ConfigError("dataset_grid must be at least 2 points per dimension")
 
 
@@ -167,10 +167,7 @@ def train_deterministic(problem: problems.ProblemSpec, net_config: nets.MLPConfi
         params=lambda x: nets.MLPParams.from_flat(net_config, x),
     )
     final = nets.MLPParams.from_flat(net_config, flat)
-    grid_n = train_config.dataset_grid
-    if grid_n is None:
-        grid_n = 128 if problem.input_dim == 1 else 48
-    grid = problems.grid_points(problem.train_domain, grid_n)
+    grid = problems.grid_points(problem.train_domain, train_config.dataset_grid)
     values = evaluate_enforced(problem, final, grid)
     return Stage1Result(problem, final, history, grid, values)
 

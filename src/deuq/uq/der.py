@@ -64,14 +64,10 @@ def check_lambda(lam: float) -> None:
         raise ConfigError("regularizer weight must be nonnegative")
 
 
-def der_loss(out: EvidentialOutput, target, lam: float = 0.0):
-    """Negative log marginal likelihood of the NIG evidence plus the
-    evidence regularizer lam * |target - gamma| * (2 nu + alpha)."""
-    return der_loss_partials(out, target, lam)[0]
-
-
 def der_loss_partials(out: EvidentialOutput, target, lam: float = 0.0) -> tuple:
-    """``der_loss`` and its partials in gamma, nu, alpha and beta. With
+    """Negative log marginal likelihood of the NIG evidence plus the
+    evidence regularizer lam * |target - gamma| * (2 nu + alpha), and its
+    partials in gamma, nu, alpha and beta. With
     e = target - gamma, Omega = 2 beta (1 + nu) and Q = nu e^2 + Omega:
     d/dgamma = -(alpha + 1/2) 2 nu e / Q - lam sign(e) (2 nu + alpha),
     d/dnu = -1/(2 nu) - 2 alpha beta / Omega + (alpha + 1/2)(e^2 + 2 beta) / Q + 2 lam |e|,
@@ -119,7 +115,7 @@ def der_predictive(out: EvidentialOutput) -> tuple:
 
 def der_train(dataset, net_config: nets.MLPConfig, lam: float,
               opt_config: OptConfig, problem=None,
-              init_params=None, like: LikelihoodSpec = LikelihoodSpec()) -> nets.MLPParams:
+              init_params=None, *, like: LikelihoodSpec) -> nets.MLPParams:
     """Train a head with four channels per output on the dataset.
 
     The likelihood scale ``like.eps`` floors the raw-unit NIG scale:
@@ -176,7 +172,7 @@ def der_train(dataset, net_config: nets.MLPConfig, lam: float,
 
 
 def der_evaluate(params: nets.MLPParams, points: np.ndarray,
-                 like: LikelihoodSpec = LikelihoodSpec()) -> list[EvidentialOutput]:
+                 like: LikelihoodSpec) -> list[EvidentialOutput]:
     """Raw-unit NIG hyperparameters per output on (n, d) grid points, with
     the ``like.eps`` scale floor the head was trained under."""
     raw = nets.evaluate(params, points)

@@ -15,7 +15,8 @@ output to `deuq.nets.JetKernel.backward`. The tape stays as the oracle:
   first written, on tape nodes; `lgamma_gap` records deuq's own log-gamma
   gap series with its digamma difference as the derivative. Production
   takes that loss's partials in closed form instead
-  (`deuq.uq.der.der_loss_partials`).
+  (`deuq.uq.der.der_loss_partials`); `der_loss` is that function's value
+  alone, for hand-value checks of the loss the trainer differentiates.
 - `exp`, `sin`, `cos`, `tanh`, `log`, `softplus`, `sigmoid` and
   `lgamma_gap` take jets or duals too; `deuq.autodiff` keeps only the
   branches the pipeline runs.
@@ -70,7 +71,7 @@ from deuq import autodiff, nets, problems, stage1
 from deuq.autodiff import Dual, Jet2, expit
 from deuq.errors import ConfigError, OracleError, StructuralError
 from deuq.uq.common import GaussianPrior
-from deuq.uq.der import EvidentialOutput, _scale_floor, der_head
+from deuq.uq.der import EvidentialOutput, _scale_floor, der_head, der_loss_partials
 from deuq.uq.nlm import NLMPosterior, feature_map
 from deuq.uq.variational import VariationalParams, sign_dims
 
@@ -603,9 +604,14 @@ def tape_nlm_loss(kernel: nets.JetKernel, flat: Var, A, B, Y) -> Var:
     return ((A + B * kernel_node(kernel, flat)[0] - Y) ** 2).mean()
 
 
+def der_loss(out: EvidentialOutput, target, lam: float = 0.0):
+    """The evidential loss of `deuq.uq.der.der_loss_partials`, without its partials."""
+    return der_loss_partials(out, target, lam)[0]
+
+
 def nig_loss(out: EvidentialOutput, target, lam: float):
     """The negative log NIG evidence plus the evidence regularizer, in the
-    operation order of `deuq.uq.der.der_loss`, on tape nodes or arrays."""
+    operation order of `deuq.uq.der.der_loss_partials`, on tape nodes or arrays."""
     err = target - out.gamma
     two_beta_l = 2.0 * out.beta * (1.0 + out.nu)
     nll = (

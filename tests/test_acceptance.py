@@ -14,11 +14,11 @@ import pytest
 from deuq import experiment, metrics, nets, problems, stage1
 from oracles import Var
 from deuq.uq.common import GaussianPrior, LikelihoodSpec, OptConfig
-from deuq.uq.der import EvidentialOutput, der_loss, der_predictive
+from deuq.uq.der import EvidentialOutput, der_predictive
 from deuq.uq.nlm import nlm_fit
 from deuq.uq.predictive import enforce_predictive, posterior_predictive_mc
 from deuq.uq.variational import VariationalParams, bbb_train, flipout_train
-from oracles import central_diff_1, central_diff_2, finite_diff_check, jet_forward, nlm_predict, seed_input, split_flat_var, values_batch
+from oracles import central_diff_1, der_loss, central_diff_2, finite_diff_check, jet_forward, nlm_predict, seed_input, split_flat_var, values_batch
 
 SEEDS = (0, 1, 2)
 METHODS = ("bbb", "flipout", "nlm", "der")

@@ -12,11 +12,11 @@ from deuq.uq.der import (
     EvidentialOutput,
     der_evaluate,
     der_head,
-    der_loss,
     der_predictive,
     der_train,
 )
 from deuq.uq.predictive import der_band, enforce_predictive
+from oracles import der_loss
 
 LN2 = math.log(2.0)
 
@@ -125,9 +125,9 @@ def test_train_fits_location_channel():
     X = np.linspace(0.0, 1.0, 32).reshape(-1, 1)
     Y = np.cos(2.0 * X)
     cfg = nets.MLPConfig(1, 4, (12,), seed=0)
-    params = der_train((X, Y), cfg, lam=0.01,
+    params = der_train((X, Y), cfg, lam=0.01, like=LikelihoodSpec(),
                        opt_config=OptConfig(epochs=2500, learning_rate=1e-2, seed=1))
-    heads = der_evaluate(params, X)
+    heads = der_evaluate(params, X, LikelihoodSpec())
     assert np.max(np.abs(heads[0].gamma - Y[:, 0])) < 5e-2
     assert np.all(heads[0].alpha > 1.0)
 
@@ -136,7 +136,8 @@ def test_train_requires_four_channels_per_output():
     X = np.linspace(0.0, 1.0, 8).reshape(-1, 1)
     Y = np.zeros((8, 1))
     with pytest.raises(ConfigError):
-        der_train((X, Y), nets.MLPConfig(1, 3, (6,), seed=0), 0.01, OptConfig(epochs=1))
+        der_train((X, Y), nets.MLPConfig(1, 3, (6,), seed=0), 0.01, OptConfig(epochs=1),
+                  like=LikelihoodSpec())
 
 
 def test_likelihood_scale_floors_variance_and_enforced_band():

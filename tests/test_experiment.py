@@ -1,14 +1,16 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import typing
 import warnings
 
 import numpy as np
 import pytest
 
 from deuq import experiment, metrics, problems
-from deuq.cli import main
+from deuq.cli import build_parser, main
 from deuq.errors import ConfigError
 from deuq.uq.predictive import PredictiveBand
 
@@ -336,6 +338,54 @@ def test_cli_rejects_config_values_of_the_wrong_type(tmp_path, capsys, key, valu
     assert main(["run", "--config", str(config_file)]) == 2
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+CONFIG_FIELDS = dataclasses.fields(experiment.ExperimentConfig)
+
+
+def _field_type(field) -> type:
+    """The type of an ExperimentConfig field, without the None of an optional one."""
+    hint = typing.get_type_hints(experiment.ExperimentConfig)[field.name]
+    return next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+
+
+@pytest.mark.parametrize("command", ["run", "solve", "uq"])
+@pytest.mark.parametrize("field", CONFIG_FIELDS, ids=lambda f: f.name)
+def test_every_config_field_has_its_flag(command, field):
+    kind = _field_type(field)
+    flag = "--out" if field.name == "output_dir" else "--" + field.name.replace("_", "-")
+    given = [flag] if kind is bool else [flag, "3"]
+    stage1_file = ["--stage1", "stage1.json"] if command == "uq" else []
+    args = build_parser().parse_args([command, *stage1_file, *given])
+    assert getattr(args, field.name) == {bool: True, int: 3, float: 3.0}.get(kind, "3")
+
+
+# values of the wrong type for each field type; a width takes a list of ints only
+WRONG_VALUES = {int: ["3", 3.0, True], float: ["3", True], str: [3, ["a"]],
+                bool: [1, "true"], tuple: [3, [8, 8.5], [True]]}
+WRONG_SETTINGS = [(f.name, v) for f in CONFIG_FIELDS for v in WRONG_VALUES[_field_type(f)]]
+
+
+@pytest.mark.parametrize("key,value", WRONG_SETTINGS,
+                         ids=[f"{k}={v!r}" for k, v in WRONG_SETTINGS])
+def test_cli_rejects_a_config_value_of_the_wrong_type_for_every_field(
+        tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.setenv(experiment.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+    config_file = tmp_path / "run.json"
+    config_file.write_text(json.dumps({key: value}))
+    assert main(["run", "--config", str(config_file)]) == 2
+    assert repr(key) in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [config_file]
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"x"', "3", '[["preset", "duffing"]]'])
+def test_cli_rejects_a_config_file_that_is_not_an_object(tmp_path, capsys, monkeypatch, content):
+    monkeypatch.setenv(experiment.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+    config_file = tmp_path / "run.json"
+    config_file.write_text(content)
+    assert main(["run", "--config", str(config_file)]) == 2
+    assert f"config file {config_file} does not hold a JSON object" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [config_file]
 
 
 def test_explicit_zero_settings_are_taken_as_given(tmp_path):

@@ -111,7 +111,8 @@ CFG = nets.MLPConfig(1, 1, (8,), seed=0)
 TRAINERS = {
     "nlm": (lambda opt: train_feature_net(DATA, CFG, opt),
             nets.MLPParams, "feature-network objective"),
-    "der": (lambda opt: der_train(DATA, nets.MLPConfig(1, 4, (8,), seed=0), 0.1, opt),
+    "der": (lambda opt: der_train(DATA, nets.MLPConfig(1, 4, (8,), seed=0), 0.1, opt,
+                                  like=LikelihoodSpec()),
             nets.MLPParams, "evidential objective"),
     "bbb": (lambda opt: bbb_train(DATA, CFG, LikelihoodSpec(), GaussianPrior(), opt),
             VariationalParams, "variational objective"),

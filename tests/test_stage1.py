@@ -5,7 +5,8 @@ from deuq import nets, problems, stage1
 from deuq.errors import ConfigError, DivergenceError
 from oracles import emit_dataset
 
-QUICK = stage1.TrainConfig(n_collocation=24, epochs=2500, learning_rate=3e-3, seed=0)
+QUICK = stage1.TrainConfig(dataset_grid=128, n_collocation=24, epochs=2500,
+                           learning_rate=3e-3, seed=0)
 
 
 @pytest.fixture(scope="module")
@@ -41,15 +42,15 @@ def test_sampler_validation():
     with pytest.raises(ConfigError):
         stage1.sample_collocation(((0.0, 1.0),), 8, "sobol")
     with pytest.raises(ConfigError):
-        stage1.TrainConfig(learning_rate=0.0)
+        stage1.TrainConfig(dataset_grid=128, learning_rate=0.0)
     with pytest.raises(ConfigError):
-        stage1.TrainConfig(n_collocation=1)
+        stage1.TrainConfig(dataset_grid=128, n_collocation=1)
 
 
 def test_zero_epochs_returns_init_params():
     cfg = nets.MLPConfig(1, 1, (8,), seed=5)
     result = stage1.train_deterministic(
-        problems.linear_ode(), cfg, stage1.TrainConfig(epochs=0)
+        problems.linear_ode(), cfg, stage1.TrainConfig(dataset_grid=128, epochs=0)
     )
     np.testing.assert_array_equal(result.params.flat(), nets.init(cfg).flat())
     assert len(result.loss_history) == 1
@@ -58,7 +59,7 @@ def test_zero_epochs_returns_init_params():
 
 def test_training_is_reproducible():
     cfg = nets.MLPConfig(1, 1, (8,), seed=1)
-    tc = stage1.TrainConfig(n_collocation=16, epochs=60, seed=3)
+    tc = stage1.TrainConfig(dataset_grid=128, n_collocation=16, epochs=60, seed=3)
     a = stage1.train_deterministic(problems.linear_ode(), cfg, tc)
     b = stage1.train_deterministic(problems.linear_ode(), cfg, tc)
     assert a.loss_history == b.loss_history
@@ -78,7 +79,7 @@ def test_divergence_error_carries_state():
         stage1.train_deterministic(
             problems.duffing(eps_nl=50.0),
             cfg,
-            stage1.TrainConfig(n_collocation=8, epochs=400, learning_rate=1e3),
+            stage1.TrainConfig(dataset_grid=128, n_collocation=8, epochs=400, learning_rate=1e3),
         )
     except DivergenceError as e:
         assert e.last_params is not None
@@ -96,7 +97,7 @@ def test_enforced_dataset_satisfies_conditions_exactly(quick_linear_result):
 def test_emit_dataset_one_point_grid():
     result = stage1.train_deterministic(
         problems.linear_ode(), nets.MLPConfig(1, 1, (8,), seed=0),
-        stage1.TrainConfig(epochs=0),
+        stage1.TrainConfig(dataset_grid=128, epochs=0),
     )
     # grids include the left endpoint where the condition pins the value
     rows = emit_dataset(result, 2)
