@@ -11,7 +11,10 @@ PARENT_DIR, and writes BENCH_<pr>.json here with a fixed core:
 - `machine`: cores, Python, numpy and its BLAS;
 - `lines`: the line counts of src/, tests/ and tests/oracles.py per tree;
 - `tier1`: passed, failed, warnings and wall_s per tree, and the command;
-  the two suites run one after the other, at default BLAS threads;
+  each tree's suite runs twice, in the order parent, change, change,
+  parent, at default BLAS threads, so that a drift in outside load weighs
+  on both trees alike; `runs_s` holds a tree's two wall times and
+  `wall_s` is their mean;
 - `margins`: the ledger of scripts/margins.py over seeds 0-5 per tree, the
   two trees side by side, one per core, at 1-thread BLAS;
 - `ab_pairs`: per workload of BENCHMARK.json, the summary of
@@ -70,6 +73,7 @@ def lines(root: Path) -> dict:
 
 
 def tier1(root: Path) -> dict:
+    """One run of the suite in `root`: its counts and wall time."""
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, *TIER1.split()[2:]], cwd=root, capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
@@ -78,6 +82,17 @@ def tier1(root: Path) -> dict:
     return {"passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
             "warnings": counts.get("warning", 0), "errors": counts.get("error", 0),
             "wall_s": round(time.perf_counter() - start, 1)}
+
+
+def tier1_abba(roots: dict) -> dict:
+    """Each tree's suite twice, parent, change, change, parent; the counts
+    of a tree's later run, with the mean of its two wall times."""
+    runs = {side: [] for side in roots}
+    for side in ("parent", "change", "change", "parent"):
+        runs[side].append(tier1(roots[side]))
+        print("tier1", side, json.dumps(runs[side][-1]), flush=True)
+    return {side: {**r[-1], "wall_s": round((r[0]["wall_s"] + r[1]["wall_s"]) / 2, 1),
+                   "runs_s": [run["wall_s"] for run in r]} for side, r in runs.items()}
 
 
 def margins(roots: dict) -> dict:
@@ -155,7 +170,7 @@ def main() -> None:
              "claim": None,
              "notes": json.loads(args.notes.read_text()) if args.notes else {}}
 
-    bench["tier1"] = {"command": TIER1, **{side: tier1(root) for side, root in roots.items()}}
+    bench["tier1"] = {"command": TIER1, **tier1_abba(roots)}
     print("tier1", json.dumps(bench["tier1"]), flush=True)
     bench["margins"] = {"command": "OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 "
                                    "scripts/margins.py --seeds 6 --out PATH",

@@ -23,8 +23,7 @@ import numpy as np
 from . import metrics, nets, problems, stage1
 from .errors import ConfigError
 from .stage1 import atomic_write as _atomic_write
-from .uq.common import GaussianPrior, LikelihoodSpec, OptConfig
-from .uq.der import check_lambda, der_evaluate, der_train
+from .uq.der import der_evaluate, der_train
 from .uq.nlm import nlm_fit_dataset
 from .uq.predictive import (PredictiveBand, der_band, enforce_predictive, nlm_band,
                             posterior_predictive_mc)
@@ -108,6 +107,14 @@ class ExperimentConfig:
             raise ConfigError("n_mc_samples must be at least 2 for MC methods")
         if not self.coverage_k > 0.0:
             raise ConfigError("coverage width k must be positive")
+        # each rule asks for the good case, so that NaN fails it
+        for name in ("eps", "prior_std", "lr_stage2"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive")
+        if not self.der_lambda >= 0.0:
+            raise ConfigError("der_lambda must be nonnegative")
+        if self.epochs_stage2 is not None and not self.epochs_stage2 >= 0:
+            raise ConfigError("epochs_stage2 must be nonnegative")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.eval_grid is not None and self.eval_grid < 2:
@@ -173,16 +180,17 @@ def _stage1_configs(config: ExperimentConfig, problem) -> tuple[nets.MLPConfig, 
     return net_config, train_config
 
 
-def run_stage1(config: ExperimentConfig, problem=None) -> stage1.Stage1Result:
-    problem = problem or build_problem(config)
+def run_stage1(config: ExperimentConfig) -> stage1.Stage1Result:
+    problem = build_problem(config)
+    _head_config(config, problem)  # a bad stage-2 head fails before the solve
     return stage1.train_deterministic(problem, *_stage1_configs(config, problem))
 
 
-def stage1_digest(config: ExperimentConfig, problem=None) -> str:
+def stage1_digest(config: ExperimentConfig) -> str:
     """sha256 over everything the stage-1 solve of `config` depends on: the
     preset and its overrides, the network config and the training config.
     A cached stage-1 file is reused only when its digest is equal."""
-    problem = problem or build_problem(config)
+    problem = build_problem(config)
     net_config, train_config = _stage1_configs(config, problem)
     settings = {
         "problem": {"name": problem.name, "overrides": _problem_overrides(config)},
@@ -192,54 +200,52 @@ def stage1_digest(config: ExperimentConfig, problem=None) -> str:
     return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
 
 
-def _stage2_settings(config: ExperimentConfig, problem):
-    """Likelihood, prior, optimizer and head network of the stage-two fit;
-    building them checks every stage-two setting, before any compute."""
+def _head_config(config: ExperimentConfig, problem) -> nets.MLPConfig:
+    """The network of the stage-two fit: four channels per output for der."""
     resolved = config.resolved()
-    check_lambda(config.der_lambda)
-    opt = OptConfig(resolved["epochs_stage2"], config.lr_stage2,
-                    seed=derive_seed(config.seed, "stage2_opt"))
-    head_config = nets.MLPConfig(
+    return nets.MLPConfig(
         input_dim=problem.input_dim,
         output_dim=(4 if config.method == "der" else 1) * problem.n_outputs,
         hidden_sizes=tuple(resolved["stage2_hidden_sizes"]),
         activation=resolved["stage2_activation"],
         seed=derive_seed(config.seed, "stage2_init"),
     )
-    return LikelihoodSpec(config.eps), GaussianPrior(config.prior_std), opt, head_config
 
 
 def run_method(config: ExperimentConfig, result: stage1.Stage1Result) -> PredictiveBand:
-    """Fit the configured stage-two method and return the enforced band on
-    the extrapolation evaluation grid."""
+    """Fit the configured stage-two method on the stage-1 dataset and return
+    the enforced band on the extrapolation evaluation grid. Every method
+    fits the head A + B * net on the dataset (X, Y), from one start vector."""
     problem = result.problem
-    dataset = (result.dataset_points, result.dataset_values)
-    grid = problems.grid_points(problem.extrap_domain, config.resolved()["eval_grid"])
-    like, prior, opt, head_config = _stage2_settings(config, problem)
+    head_config = _head_config(config, problem)
+    X, Y = result.dataset_points, result.dataset_values
+    if not (X.ndim == Y.ndim == 2 and 0 < len(X) == len(Y)
+            and np.isfinite(X).all() and np.isfinite(Y).all()):
+        raise ConfigError("the stage-1 dataset is empty, ragged or not finite")
+    A, B = problems.transform_values(problem.transform, X)
     # rbf heads tile the full domain of interest so posterior weight
     # uncertainty survives wherever the data cannot constrain it
-    init_mu = (nets.rbf_feature_init(head_config, problem.extrap_domain).flat()
-               if head_config.activation == "rbf" else None)
+    x0 = (nets.rbf_feature_init(head_config, problem.extrap_domain)
+          if head_config.activation == "rbf" else nets.init(head_config)).flat()
+    resolved = config.resolved()
+    grid = problems.grid_points(problem.extrap_domain, resolved["eval_grid"])
+    data = (X, Y, A, B, head_config, x0)
+    budget = dict(epochs=resolved["epochs_stage2"], lr=config.lr_stage2)
 
     if config.method in ("bbb", "flipout"):
         train = bbb_train if config.method == "bbb" else flipout_train
-        q = train(dataset, head_config, like, prior, opt, problem=problem, init_mu=init_mu)
+        q = train(*data, eps=config.eps, prior_std=config.prior_std,
+                  seed=derive_seed(config.seed, "stage2_opt"), **budget)
         raw = posterior_predictive_mc(
             q, head_config, grid, config.n_mc_samples,
             seed=derive_seed(config.seed, "mc_samples"),
         )
     elif config.method == "nlm":
-        posts = nlm_fit_dataset(
-            dataset, head_config, config.eps, config.prior_std, opt,
-            problem=problem, init_params=init_mu,
-        )
-        raw = nlm_band(posts, grid)
+        raw = nlm_band(nlm_fit_dataset(*data, eps=config.eps, prior_std=config.prior_std,
+                                       **budget), grid)
     else:  # der
-        params = der_train(
-            dataset, head_config, config.der_lambda, opt,
-            problem=problem, init_params=init_mu, like=like,
-        )
-        raw = der_band(der_evaluate(params, grid, like), grid)
+        params = der_train(*data, eps=config.eps, lam=config.der_lambda, **budget)
+        raw = der_band(der_evaluate(params, grid, config.eps), grid)
     return enforce_predictive(raw, problem.transform)
 
 
@@ -259,12 +265,11 @@ def save_stage1(config: ExperimentConfig, result: stage1.Stage1Result) -> Path:
     its problem and the settings digest that lets `run` reuse it."""
     path = stage1_path(config)
     path.parent.mkdir(parents=True, exist_ok=True)
-    stage1.save_result(result, path, _problem_overrides(config),
-                       stage1_digest(config, result.problem))
+    stage1.save_result(result, path, _problem_overrides(config), stage1_digest(config))
     return path
 
 
-def load_stage1(config: ExperimentConfig, path, problem=None) -> stage1.Stage1Result | None:
+def load_stage1(config: ExperimentConfig, path) -> stage1.Stage1Result | None:
     """The stage-1 result in `path` if it is the solve of `config`: the file
     reads, and its settings digest equals the config's. None otherwise."""
     if not Path(path).is_file():
@@ -274,18 +279,16 @@ def load_stage1(config: ExperimentConfig, path, problem=None) -> stage1.Stage1Re
     except (OSError, ValueError, LookupError, TypeError, AttributeError):
         return None
     # the config's own problem, so that the digest also checks the preset name
-    return result if result.settings_digest == stage1_digest(config, problem) else None
+    return result if result.settings_digest == stage1_digest(config) else None
 
 
 def run(config: ExperimentConfig) -> RunArtifacts:
     """Full pipeline; reuses the cached stage-1 file if `load_stage1` accepts
     it. Artifacts: band CSV, stage-1 JSON, report JSON, config echo."""
-    problem = build_problem(config)
-    _stage2_settings(config, problem)  # a bad stage-2 setting fails before stage 1
     path = stage1_path(config)
-    result = load_stage1(config, path, problem) if config.reuse_stage1 else None
+    result = load_stage1(config, path) if config.reuse_stage1 else None
     if result is None:
-        result = run_stage1(config, problem)
+        result = run_stage1(config)
         save_stage1(config, result)
     return run_uq(config, result, path)
 

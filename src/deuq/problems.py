@@ -117,7 +117,7 @@ def residual(problem: ProblemSpec, u: Mapping[int, Sequence[Jet2]], point) -> li
     return problem.residual_fn(problem.coefficients, seen, point)
 
 
-def transform_values(transform: Transform, points: np.ndarray, n_outputs: int) -> tuple[np.ndarray, np.ndarray]:
+def transform_values(transform: Transform, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A and B evaluated as plain (n, n_outputs) arrays on grid points,
     called on the coordinate columns themselves."""
     points = np.atleast_2d(np.asarray(points, dtype=float))

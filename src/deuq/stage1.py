@@ -177,7 +177,7 @@ def evaluate_enforced(problem: problems.ProblemSpec, params: nets.MLPParams,
     """Values of the enforced solution A + B * net on (n, d) points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     raw = nets.evaluate(params, points)
-    A, B = problems.transform_values(problem.transform, points, problem.n_outputs)
+    A, B = problems.transform_values(problem.transform, points)
     return A + B * raw
 
 

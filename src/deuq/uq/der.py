@@ -32,7 +32,6 @@ from ..autodiff import lgamma_gap_slope, softplus
 from ..errors import ConfigError, DomainError
 from ..nets import grad_params
 from ..optim import fit
-from .common import LikelihoodSpec, OptConfig, dataset_arrays, enforced_head_values
 
 
 @dataclass(frozen=True)
@@ -59,11 +58,6 @@ def _nig(gamma, soft) -> EvidentialOutput:
     return EvidentialOutput(gamma=gamma, nu=soft[..., 0], alpha=1.0 + soft[..., 1], beta=soft[..., 2])
 
 
-def check_lambda(lam: float) -> None:
-    if not lam >= 0.0:
-        raise ConfigError("regularizer weight must be nonnegative")
-
-
 def der_loss_partials(out: EvidentialOutput, target, lam: float = 0.0) -> tuple:
     """Negative log marginal likelihood of the NIG evidence plus the
     evidence regularizer lam * |target - gamma| * (2 nu + alpha), and its
@@ -73,7 +67,6 @@ def der_loss_partials(out: EvidentialOutput, target, lam: float = 0.0) -> tuple:
     d/dnu = -1/(2 nu) - 2 alpha beta / Omega + (alpha + 1/2)(e^2 + 2 beta) / Q + 2 lam |e|,
     d/dalpha = log Q - log Omega + digamma(alpha) - digamma(alpha + 1/2) + lam |e|,
     d/dbeta = -alpha / beta + 2 (alpha + 1/2)(1 + nu) / Q."""
-    check_lambda(lam)
     gamma, nu, alpha, beta = out.gamma, out.nu, out.alpha, out.beta
     err = target - gamma
     two_beta_l = 2.0 * beta * (1.0 + nu)
@@ -113,15 +106,15 @@ def der_predictive(out: EvidentialOutput) -> tuple:
     return out.gamma, np.sqrt(var)
 
 
-def der_train(dataset, net_config: nets.MLPConfig, lam: float,
-              opt_config: OptConfig, problem=None,
-              init_params=None, *, like: LikelihoodSpec) -> nets.MLPParams:
-    """Train a head with four channels per output on the dataset.
+def der_train(X, Y, A, B, net_config: nets.MLPConfig, x0, *, eps: float, lam: float,
+              epochs: int, lr: float) -> nets.MLPParams:
+    """Train a head with four channels per output on (X, Y) from x0, with
+    the evidence regularizer weight ``lam``.
 
-    The likelihood scale ``like.eps`` floors the raw-unit NIG scale:
+    The likelihood scale ``eps`` floors the raw-unit NIG scale:
     beta becomes softplus(raw_beta) + eps^2 (alpha - 1), so the aleatoric
     variance beta / (alpha - 1) never drops below eps^2. ``der_evaluate``
-    must be given the same ``like`` to report the band that was trained.
+    must be given the same ``eps`` to report the band that was trained.
 
     The floored raw output is mapped through the condition-enforcement
     affine exactly as the band will report it: (gamma, nu, alpha, beta)
@@ -131,15 +124,12 @@ def der_train(dataset, net_config: nets.MLPConfig, lam: float,
     B = 0 are excluded: the enforced value is exact there by construction,
     so the observation carries no evidence (and the marginal is singular).
     """
-    X, Y = dataset_arrays(dataset)
     if net_config.output_dim % 4:
         raise ConfigError("evidential head needs four output channels per output")
     n_outputs = net_config.output_dim // 4
-    A, B = enforced_head_values(problem, X, n_outputs)
     keep = [np.flatnonzero(B[:, k] != 0.0) for k in range(n_outputs)]
     if any(idx.size == 0 for idx in keep):
         raise ConfigError("every dataset point sits on a condition surface")
-    x0 = np.array(init_params, dtype=float) if init_params is not None else nets.init(net_config).flat()
     kernel = nets.JetKernel(net_config, X, np.zeros((0, X.shape[1])), ())  # values only
 
     def loss_and_grad(flat):
@@ -150,20 +140,19 @@ def der_train(dataset, net_config: nets.MLPConfig, lam: float,
             channels = raw[idx, 4 * k : 4 * k + 4]
             soft = softplus(channels[:, 1:])
             slopes = np.exp(channels[:, 1:] - soft)  # softplus' slope, expit, without overflow
-            head = _scale_floor(_nig(channels[:, 0], soft), like.eps)
+            head = _scale_floor(_nig(channels[:, 0], soft), eps)
             b, b2 = B[idx, k], B[idx, k] ** 2
             head = EvidentialOutput(gamma=A[idx, k] + b * head.gamma, nu=head.nu,
                                     alpha=head.alpha, beta=b2 * head.beta)
             nll, (d_gamma, d_nu, d_alpha, d_beta) = der_loss_partials(head, Y[idx, k], lam)
             loss = loss + nll.mean()
             d_raw = (b * d_gamma, d_nu * slopes[:, 0],
-                     (d_alpha + b2 * like.eps**2 * d_beta) * slopes[:, 1], b2 * d_beta * slopes[:, 2])
+                     (d_alpha + b2 * eps**2 * d_beta) * slopes[:, 1], b2 * d_beta * slopes[:, 2])
             cotangent[0, idx, 4 * k : 4 * k + 4] = np.stack(d_raw, axis=1) / idx.size
         return float(loss), lambda: grad_params(kernel, cotangent)
 
     flat, history = fit(
-        loss_and_grad, x0, opt_config.learning_rate, opt_config.epochs,
-        name="evidential objective",
+        loss_and_grad, x0, lr, epochs, name="evidential objective",
         params=lambda x: nets.MLPParams.from_flat(net_config, x),
     )
     params = nets.MLPParams.from_flat(net_config, flat)
@@ -171,10 +160,9 @@ def der_train(dataset, net_config: nets.MLPConfig, lam: float,
     return params
 
 
-def der_evaluate(params: nets.MLPParams, points: np.ndarray,
-                 like: LikelihoodSpec) -> list[EvidentialOutput]:
+def der_evaluate(params: nets.MLPParams, points: np.ndarray, eps: float) -> list[EvidentialOutput]:
     """Raw-unit NIG hyperparameters per output on (n, d) grid points, with
-    the ``like.eps`` scale floor the head was trained under."""
+    the ``eps`` scale floor the head was trained under."""
     raw = nets.evaluate(params, points)
     n_outputs = params.config.output_dim // 4
-    return [_scale_floor(der_head(raw[:, 4 * k : 4 * k + 4]), like.eps) for k in range(n_outputs)]
+    return [_scale_floor(der_head(raw[:, 4 * k : 4 * k + 4]), eps) for k in range(n_outputs)]

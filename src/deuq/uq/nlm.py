@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import nets
-from ..errors import ConfigError, DomainError, StructuralError
+from ..errors import DomainError, StructuralError
 from ..nets import grad_params
 from ..optim import fit
-from .common import OptConfig, dataset_arrays, enforced_head_values
 
 
 @dataclass
@@ -40,8 +39,6 @@ def nlm_fit(features: np.ndarray, targets: np.ndarray, eps: float,
     The precision is inverted through its Cholesky factor L: cov = L^-T L^-1.
     A precision that is not positive definite in floating point raises
     DomainError."""
-    if not eps > 0.0 or not prior_std > 0.0:
-        raise ConfigError("eps and prior_std must be positive")
     features = np.asarray(features, dtype=float)
     targets = np.asarray(targets, dtype=float).ravel()
     if features.ndim != 2 or features.shape[1] < 1:
@@ -68,18 +65,16 @@ def feature_map(params: nets.MLPParams, points: np.ndarray) -> np.ndarray:
     return np.hstack([h, np.ones((h.shape[0], 1))])
 
 
-def train_feature_net(dataset, net_config: nets.MLPConfig, opt_config: OptConfig,
-                      problem=None, init_params=None) -> nets.MLPParams:
-    """Fit the extractor by mean squared error through the enforced head;
-    the error's cotangent on the head's output is (2/n) err B.
+def train_feature_net(X, Y, A, B, net_config: nets.MLPConfig, x0, *,
+                      epochs: int, lr: float) -> nets.MLPParams:
+    """Fit the extractor from x0 by mean squared error through the enforced
+    head A + B * net on (X, Y); the error's cotangent on the head's output
+    is (2/n) err B.
 
     The returned params carry the ``loss_history`` of ``optim.fit``. A
     non-finite objective raises DivergenceError with the last finite params
     and the history up to it.
     """
-    X, Y = dataset_arrays(dataset)
-    A, B = enforced_head_values(problem, X, net_config.output_dim)
-    x0 = np.array(init_params, dtype=float) if init_params is not None else nets.init(net_config).flat()
     kernel = nets.JetKernel(net_config, X, np.zeros((0, X.shape[1])), ())  # values only
     scale = 2.0 / Y.size
 
@@ -88,8 +83,7 @@ def train_feature_net(dataset, net_config: nets.MLPConfig, opt_config: OptConfig
         return float((err**2).mean()), lambda: grad_params(kernel, (scale * err * B)[None])
 
     flat, history = fit(
-        loss_and_grad, x0, opt_config.learning_rate, opt_config.epochs,
-        name="feature-network objective",
+        loss_and_grad, x0, lr, epochs, name="feature-network objective",
         params=lambda x: nets.MLPParams.from_flat(net_config, x),
     )
     params = nets.MLPParams.from_flat(net_config, flat)
@@ -97,17 +91,15 @@ def train_feature_net(dataset, net_config: nets.MLPConfig, opt_config: OptConfig
     return params
 
 
-def nlm_fit_dataset(dataset, net_config: nets.MLPConfig, eps: float, prior_std: float,
-                    opt_config: OptConfig, problem=None, init_params=None) -> list[NLMPosterior]:
+def nlm_fit_dataset(X, Y, A, B, net_config: nets.MLPConfig, x0, *, eps: float,
+                    prior_std: float, epochs: int, lr: float) -> list[NLMPosterior]:
     """Full pipeline: train features, then one conjugate fit per output.
 
     With an enforced head the regression absorbs A into the targets and B
     into the design matrix, so the posterior models the raw network output
     and the band enforcement step restores the solution scale.
     """
-    X, Y = dataset_arrays(dataset)
-    A, B = enforced_head_values(problem, X, net_config.output_dim)
-    params = train_feature_net(dataset, net_config, opt_config, problem, init_params)
+    params = train_feature_net(X, Y, A, B, net_config, x0, epochs=epochs, lr=lr)
     phi = feature_map(params, X)
     posts = []
     for k in range(net_config.output_dim):

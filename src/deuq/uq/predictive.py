@@ -120,7 +120,7 @@ def enforce_predictive(band: PredictiveBand, transform: problems.Transform) -> P
     """Push a raw-output band through the condition transform."""
     if band.enforced:
         raise StructuralError("band is already enforced")
-    A, B = problems.transform_values(transform, band.grid, band.mean.shape[1])
+    A, B = problems.transform_values(transform, band.grid)
     return PredictiveBand(
         grid=band.grid,
         mean=A + B * band.mean,

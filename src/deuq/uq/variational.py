@@ -24,10 +24,9 @@ import numpy as np
 
 from .. import nets
 from ..autodiff import expit, softplus
-from ..errors import ConfigError, StructuralError
+from ..errors import StructuralError
 from ..nets import grad_params
 from ..optim import fit
-from .common import GaussianPrior, LikelihoodSpec, OptConfig, dataset_arrays, enforced_head_values
 
 RHO_INIT = -5.0  # softplus(-5) ~ 6.7e-3: weights start nearly deterministic
 
@@ -66,25 +65,17 @@ def sign_dims(config: nets.MLPConfig) -> tuple[int, int]:
     return sum(o for o, _ in shapes), sum(i for _, i in shapes)
 
 
-def _variational_train(dataset, net_config, like, prior, opt_config, signs: str | None,
-                       problem=None, init_mu=None) -> VariationalParams:
+def _variational_train(X, Y, A, B, net_config, x0, signs: str | None, *, eps: float,
+                       prior_std: float, epochs: int, lr: float, seed: int) -> VariationalParams:
     # signs: None (bbb), "random" (flipout) or "unit" (flipout, all +1)
-    X, Y = dataset_arrays(dataset)
-    if X.shape[1] != net_config.input_dim or Y.shape[1] != net_config.output_dim:
-        raise ConfigError("dataset shapes do not match the network config")
-    A, B = enforced_head_values(problem, X, net_config.output_dim)
     n_points = X.shape[0]
     P = net_config.n_params
     dims = sign_dims(net_config)
     unit = tuple(np.ones((n_points, k)) for k in dims) if signs == "unit" else None
     kernel = nets.JetKernel(net_config, X, np.zeros((0, X.shape[1])), ())
-
-    mu0 = np.array(init_mu, dtype=float) if init_mu is not None else nets.init(net_config).flat()
-    if mu0.size != P:
-        raise ConfigError("init_mu length does not match the parameter count")
-    ss = np.random.SeedSequence(opt_config.seed)
+    ss = np.random.SeedSequence(seed)
     noise_rng, sign_rng = [np.random.default_rng(c) for c in ss.spawn(2)]
-    const_nll = 0.5 * n_points * net_config.output_dim * np.log(2.0 * np.pi * like.eps**2)
+    const_nll = 0.5 * n_points * net_config.output_dim * np.log(2.0 * np.pi * eps**2)
 
     def loss_and_grad(packed):
         # one fresh draw per evaluation; fit's evaluation after its last
@@ -98,39 +89,38 @@ def _variational_train(dataset, net_config, like, prior, opt_config, signs: str 
         mu, rho = packed[:P], packed[P:]
         sigma = softplus(rho)
         err = A + B * kernel.forward(mu, sigma * eps_hat, flips)[0] - Y
-        nll = (err**2).sum() / (2.0 * like.eps**2) + const_nll
-        kl = (np.log(prior.std / sigma) + (sigma**2 + mu**2) / (2.0 * prior.std**2) - 0.5).sum()
+        nll = (err**2).sum() / (2.0 * eps**2) + const_nll
+        kl = (np.log(prior_std / sigma) + (sigma**2 + mu**2) / (2.0 * prior_std**2) - 0.5).sum()
 
         def gradient():
-            g_mu, g_delta = grad_params(kernel, (err * B / like.eps**2)[None])
-            g_sigma = g_delta * eps_hat - 1.0 / sigma + sigma / prior.std**2
-            return np.concatenate([g_mu + mu / prior.std**2, g_sigma * expit(rho)])
+            g_mu, g_delta = grad_params(kernel, (err * B / eps**2)[None])
+            g_sigma = g_delta * eps_hat - 1.0 / sigma + sigma / prior_std**2
+            return np.concatenate([g_mu + mu / prior_std**2, g_sigma * expit(rho)])
 
         return float(kl + nll), gradient
 
     packed, history = fit(
-        loss_and_grad, np.concatenate([mu0, np.full(P, RHO_INIT)]),
-        opt_config.learning_rate, opt_config.epochs, name="variational objective",
+        loss_and_grad, np.concatenate([x0, np.full(P, RHO_INIT)]), lr, epochs,
+        name="variational objective",
         params=lambda x: VariationalParams(net_config, x[:P], x[P:]),
     )
     return VariationalParams(net_config, packed[:P], packed[P:], history)
 
 
-def bbb_train(dataset, net_config: nets.MLPConfig, like: LikelihoodSpec,
-              prior: GaussianPrior, opt_config: OptConfig,
-              problem=None, init_mu=None) -> VariationalParams:
-    """Minimize KL(q || prior) - E_q[log likelihood], one fresh weight
-    sample per step shared by the whole batch."""
-    return _variational_train(dataset, net_config, like, prior, opt_config, None,
-                              problem=problem, init_mu=init_mu)
+def bbb_train(X, Y, A, B, net_config: nets.MLPConfig, x0, *, eps: float, prior_std: float,
+              epochs: int, lr: float, seed: int) -> VariationalParams:
+    """Minimize KL(q || prior) - E_q[log likelihood] for the head A + B * net
+    on (X, Y), from mu = x0, with one fresh weight sample per step shared
+    by the whole batch. ``eps`` is the likelihood scale, ``prior_std`` the
+    prior's, and ``seed`` seeds the weight noise."""
+    return _variational_train(X, Y, A, B, net_config, x0, None, eps=eps, prior_std=prior_std,
+                              epochs=epochs, lr=lr, seed=seed)
 
 
-def flipout_train(dataset, net_config: nets.MLPConfig, like: LikelihoodSpec,
-                  prior: GaussianPrior, opt_config: OptConfig,
-                  problem=None, unit_signs: bool = False,
-                  init_mu=None) -> VariationalParams:
+def flipout_train(X, Y, A, B, net_config: nets.MLPConfig, x0, *, eps: float, prior_std: float,
+                  epochs: int, lr: float, seed: int, unit_signs: bool = False) -> VariationalParams:
     """Same objective as bbb_train with per-example decorrelated
     perturbations; ``unit_signs`` forces all sign matrices to +1 (then the
     loss trace equals bbb_train's exactly under shared seeds)."""
-    return _variational_train(dataset, net_config, like, prior, opt_config,
-                              "unit" if unit_signs else "random", problem=problem, init_mu=init_mu)
+    return _variational_train(X, Y, A, B, net_config, x0, "unit" if unit_signs else "random",
+                              eps=eps, prior_std=prior_std, epochs=epochs, lr=lr, seed=seed)

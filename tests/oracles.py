@@ -56,7 +56,9 @@ The rest are checks the pipeline never runs:
 - `flipout_perturb` materializes the per-example weights that the
   kernel's flip term never builds;
 - `kl_gaussian_diag` is the closed-form KL the variational trainer
-  differentiates by hand.
+  differentiates by hand;
+- `identity_head_args` gives a stage-2 trainer the plain head (A = 0,
+  B = 1) and the default start vector, for fits with no condition.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from scipy.linalg import solve_banded
 from deuq import autodiff, nets, problems, stage1
 from deuq.autodiff import Dual, Jet2, expit
 from deuq.errors import ConfigError, OracleError, StructuralError
-from deuq.uq.common import GaussianPrior
 from deuq.uq.der import EvidentialOutput, _scale_floor, der_head, der_loss_partials
 from deuq.uq.nlm import NLMPosterior, feature_map
 from deuq.uq.variational import VariationalParams, sign_dims
@@ -869,11 +870,18 @@ def nlm_predict(post: NLMPosterior, point) -> tuple[float, float]:
     return mean, float(np.sqrt(max(var, 0.0)))
 
 
-def kl_gaussian_diag(q: VariationalParams, prior: GaussianPrior) -> float:
-    """Closed-form KL(q || prior) summed over all weights; zero iff equal."""
+def kl_gaussian_diag(q: VariationalParams, prior_std: float) -> float:
+    """Closed-form KL(q || N(0, prior_std^2)) summed over all weights; zero
+    iff equal."""
     sigma = q.sigma
-    s = float(prior.std)
+    s = float(prior_std)
     return float(np.sum(np.log(s / sigma) + (sigma**2 + q.mu**2) / (2.0 * s**2) - 0.5))
+
+
+def identity_head_args(X: np.ndarray, Y: np.ndarray, cfg: nets.MLPConfig) -> tuple:
+    """The positional arguments (X, Y, A, B, cfg, x0) of a stage-2 trainer
+    for the head A + B * net with A = 0 and B = 1, from `nets.init`."""
+    return X, Y, np.zeros(Y.shape), np.ones(Y.shape), cfg, nets.init(cfg).flat()
 
 
 def flipout_perturb(q: VariationalParams, shared_noise: np.ndarray,

@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 from deuq import experiment, metrics, nets, problems, stage1
-from oracles import Var
-from deuq.uq.common import GaussianPrior, LikelihoodSpec, OptConfig
+from oracles import Var, identity_head_args
 from deuq.uq.der import EvidentialOutput, der_predictive
 from deuq.uq.nlm import nlm_fit
 from deuq.uq.predictive import enforce_predictive, posterior_predictive_mc
@@ -330,11 +329,10 @@ def test_criterion_6_mc_matches_analytic():
 
 def test_criterion_7_flipout_reduction():
     x = np.linspace(0.0, 1.0, 24).reshape(-1, 1)
-    dataset = (x, np.sin(2.0 * x))
-    cfg = nets.MLPConfig(1, 1, (8,), seed=3)
-    args = (cfg, LikelihoodSpec(1e-2), GaussianPrior(1.0), OptConfig(epochs=300, seed=11))
-    shared = bbb_train(dataset, *args)
-    forced = flipout_train(dataset, *args, unit_signs=True)
+    args = identity_head_args(x, np.sin(2.0 * x), nets.MLPConfig(1, 1, (8,), seed=3))
+    settings = dict(eps=1e-2, prior_std=1.0, epochs=300, lr=1e-2, seed=11)
+    shared = bbb_train(*args, **settings)
+    forced = flipout_train(*args, **settings, unit_signs=True)
     equal = shared.loss_history == forced.loss_history
     _announce(
         "7 flipout reduction",

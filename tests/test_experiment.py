@@ -85,9 +85,9 @@ def test_stage1_cache_needs_exact_settings(tmp_path, monkeypatch, field, value):
     solves = []
     real = experiment.run_stage1
 
-    def counting(config, problem=None):
+    def counting(config):
         solves.append(config)
-        return real(config, problem)
+        return real(config)
 
     monkeypatch.setattr(experiment, "run_stage1", counting)
     experiment.run(_cfg(tmp_path, **TINY_LV))
@@ -300,12 +300,27 @@ def test_cli_run_rejects_nonpositive_coverage_k_before_any_compute(tmp_path, cap
     ("--stage2-activation", "relu"),
     ("--stage2-hidden-sizes", "8,8,8,8"),
 ])
-def test_cli_run_rejects_bad_stage2_settings_before_stage1(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("command", ["run", "solve"])
+def test_cli_run_rejects_bad_stage2_settings_before_stage1(tmp_path, capsys, command, flag, value):
+    # `solve` fits no stage 2, but a stage-1 file is solved to be used by one
     out = tmp_path / "out"
-    assert main(["run", "--preset", "linear_ode", "--method", "nlm", "--out", str(out),
+    assert main([command, "--preset", "linear_ode", "--method", "nlm", "--out", str(out),
                  "--epochs-stage1", "300", "--n-collocation", "16", flag, value]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("points,values", [
+    (np.zeros((0, 1)), np.zeros((0, 1))),
+    (np.zeros((4, 1)), np.zeros((3, 1))),
+    (np.zeros((4, 1)), np.array([[0.0], [np.nan], [0.0], [0.0]])),
+])
+def test_run_method_rejects_an_empty_ragged_or_nonfinite_dataset(tmp_path, points, values):
+    config = _cfg(tmp_path, **{**TINY_LV, "preset": "linear_ode"})
+    result = dataclasses.replace(experiment.run_stage1(config), dataset_points=points,
+                                 dataset_values=values)
+    with pytest.raises(ConfigError, match="dataset"):
+        experiment.run_method(config, result)
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -432,9 +447,9 @@ def _counting_stage1(monkeypatch) -> list:
     solves = []
     real = experiment.run_stage1
 
-    def counting(config, problem=None):
+    def counting(config):
         solves.append(config)
-        return real(config, problem)
+        return real(config)
 
     monkeypatch.setattr(experiment, "run_stage1", counting)
     return solves

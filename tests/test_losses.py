@@ -13,19 +13,20 @@ import pytest
 
 from deuq import nets, problems, stage1
 from deuq.uq import der, nlm, variational
-from deuq.uq.common import GaussianPrior, LikelihoodSpec, OptConfig, enforced_head_values
 from oracles import (Var, grad_params, tape_der_loss, tape_nlm_loss, tape_stage1_loss,
                      tape_variational_loss)
 
 PRESETS = problems.preset_names()
 METHODS = ("bbb", "flipout", "nlm", "der")
-LIKE, PRIOR, OPT, LAM = LikelihoodSpec(0.05), GaussianPrior(1.3), OptConfig(epochs=1, seed=4), 0.3
+EPS, PRIOR_STD, LAM, SEED = 0.05, 1.3, 0.3, 4
+BUDGET = dict(epochs=1, lr=1e-2)
 TRAINERS = {
-    "bbb": (variational, lambda d, cfg, p: variational.bbb_train(d, cfg, LIKE, PRIOR, OPT, problem=p)),
-    "flipout": (variational,
-                lambda d, cfg, p: variational.flipout_train(d, cfg, LIKE, PRIOR, OPT, problem=p)),
-    "nlm": (nlm, lambda d, cfg, p: nlm.train_feature_net(d, cfg, OPT, problem=p)),
-    "der": (der, lambda d, cfg, p: der.der_train(d, cfg, LAM, OPT, problem=p, like=LIKE)),
+    "bbb": (variational, lambda *args: variational.bbb_train(
+        *args, eps=EPS, prior_std=PRIOR_STD, seed=SEED, **BUDGET)),
+    "flipout": (variational, lambda *args: variational.flipout_train(
+        *args, eps=EPS, prior_std=PRIOR_STD, seed=SEED, **BUDGET)),
+    "nlm": (nlm, lambda *args: nlm.train_feature_net(*args, **BUDGET)),
+    "der": (der, lambda *args: der.der_train(*args, eps=EPS, lam=LAM, **BUDGET)),
 }
 
 
@@ -73,7 +74,9 @@ def _production(monkeypatch, method, problem, x):
     monkeypatch.setattr(module, "fit", one_evaluation)
     monkeypatch.setattr(nets, "JetKernel", _SignSpy)
     _SignSpy.signs = []
-    train(_dataset(problem), _config(problem, method), problem)
+    X, Y = _dataset(problem)
+    cfg = _config(problem, method)
+    train(X, Y, *problems.transform_values(problem.transform, X), cfg, nets.init(cfg).flat())
     return out["loss"], out["grad"]
 
 
@@ -81,18 +84,18 @@ def _tape(method, problem, x, signs):
     X, Y = _dataset(problem)
     cfg = _config(problem, method)
     kernel = nets.JetKernel(cfg, X, np.zeros((0, X.shape[1])), ())
-    A, B = enforced_head_values(problem, X, Y.shape[1])
+    A, B = problems.transform_values(problem.transform, X)
     leaf = Var(x)
     if method == "nlm":
         loss, leaves = tape_nlm_loss(kernel, leaf, A, B, Y), [leaf]
     elif method == "der":
         keep = [np.flatnonzero(B[:, k] != 0.0) for k in range(Y.shape[1])]
-        loss, leaves = tape_der_loss(kernel, leaf, A, B, Y, keep, LAM, LIKE.eps), [leaf]
+        loss, leaves = tape_der_loss(kernel, leaf, A, B, Y, keep, LAM, EPS), [leaf]
     else:
         P = cfg.n_params
-        noise_rng = np.random.default_rng(np.random.SeedSequence(OPT.seed).spawn(2)[0])
+        noise_rng = np.random.default_rng(np.random.SeedSequence(SEED).spawn(2)[0])
         loss, leaves = tape_variational_loss(kernel, x[:P], x[P:], noise_rng.standard_normal(P),
-                                             signs, A, B, Y, LIKE.eps, PRIOR.std)
+                                             signs, A, B, Y, EPS, PRIOR_STD)
     return float(loss.data), grad_params(loss, leaves)
 
 

@@ -4,11 +4,10 @@ import pytest
 from deuq import nets
 from deuq.errors import DivergenceError
 from deuq.optim import Adam, fit
-from deuq.uq.common import GaussianPrior, LikelihoodSpec, OptConfig
 from deuq.uq.der import der_train
 from deuq.uq.nlm import train_feature_net
 from deuq.uq.variational import VariationalParams, bbb_train, flipout_train
-from oracles import adam_step
+from oracles import adam_step, identity_head_args
 
 
 def _shifted_square(offset):
@@ -104,19 +103,19 @@ def test_divergence_at_step_k_carries_the_vector_of_step_k_minus_1():
 
 
 X = np.linspace(0.0, 1.0, 16).reshape(-1, 1)
-DATA = (X, np.sin(X))
-CFG = nets.MLPConfig(1, 1, (8,), seed=0)
+ARGS = identity_head_args(X, np.sin(X), nets.MLPConfig(1, 1, (8,), seed=0))
+DER_ARGS = identity_head_args(X, np.sin(X), nets.MLPConfig(1, 4, (8,), seed=0))
+VARIATIONAL = dict(eps=1e-2, prior_std=1.0, seed=0)
 
 # trainer, type of the params it returns, name its divergence error carries
 TRAINERS = {
-    "nlm": (lambda opt: train_feature_net(DATA, CFG, opt),
+    "nlm": (lambda **budget: train_feature_net(*ARGS, **budget),
             nets.MLPParams, "feature-network objective"),
-    "der": (lambda opt: der_train(DATA, nets.MLPConfig(1, 4, (8,), seed=0), 0.1, opt,
-                                  like=LikelihoodSpec()),
+    "der": (lambda **budget: der_train(*DER_ARGS, eps=1e-2, lam=0.1, **budget),
             nets.MLPParams, "evidential objective"),
-    "bbb": (lambda opt: bbb_train(DATA, CFG, LikelihoodSpec(), GaussianPrior(), opt),
+    "bbb": (lambda **budget: bbb_train(*ARGS, **VARIATIONAL, **budget),
             VariationalParams, "variational objective"),
-    "flipout": (lambda opt: flipout_train(DATA, CFG, LikelihoodSpec(), GaussianPrior(), opt),
+    "flipout": (lambda **budget: flipout_train(*ARGS, **VARIATIONAL, **budget),
                 VariationalParams, "variational objective"),
 }
 
@@ -129,7 +128,7 @@ def test_trainer_divergence_carries_last_finite_state(method, epochs):
     train, kind, name = TRAINERS[method]
     with np.errstate(all="ignore"):
         with pytest.raises(DivergenceError) as err:
-            train(OptConfig(epochs=epochs, learning_rate=1e200))
+            train(epochs=epochs, lr=1e200)
     assert name in str(err.value)
     last = err.value.last_params
     assert isinstance(last, kind)

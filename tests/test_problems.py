@@ -71,7 +71,7 @@ def test_enforcement_exact_at_every_condition(name, raw):
     grid = problems.grid_points(p.train_domain, 9)
     mask, values = problems.condition_mask(p, grid)
     assert mask.any()
-    A, B = problems.transform_values(p.transform, grid, p.n_outputs)
+    A, B = problems.transform_values(p.transform, grid)
     enforced = A + B * raw
     for k in range(p.n_outputs):
         good = mask & ~np.isnan(values[:, k])
