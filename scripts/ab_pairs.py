@@ -30,16 +30,17 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 
 
-def bench(root: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+def bench(root: Path, workload: str, seed: int, seconds: float,
+          trace: int = 0) -> tuple[dict, dict]:
     """The result line of one perfbench run in `root`, and its band digests."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=root, capture_output=True, text=True)
     if proc.returncode:
         sys.stderr.write(proc.stderr)
         return {"correct": False, "metrics": {}}, {}
-    record = root / ".perfbench" / f"result-{workload}-seed{seed}-trace0.json"
+    record = root / ".perfbench" / f"result-{workload}-seed{seed}-trace{trace}.json"
     return (json.loads(proc.stdout.strip().splitlines()[-1]),
             json.loads(record.read_text())["band_sha256"])
 

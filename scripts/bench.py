@@ -20,6 +20,10 @@ PARENT_DIR, and writes BENCH_<pr>.json here with a fixed core:
 - `ab_pairs`: per workload of BENCHMARK.json, the summary of
   scripts/ab_pairs.py over 10 pairs, the k-th workload at seeds from
   --first-seed + 100 k on;
+- `layers`: per workload, four `perfbench/run.py --trace 1` runs in the
+  order parent, change, change, parent, at the first two seeds of its
+  pairs (each tree runs both); per tree, the median of each per-layer
+  metric over its two runs, and whether both runs were correct;
 - `claim`: null, or with --claim WORKLOAD/METRIC the pair rule on it: at
   least 9 wins in 10 and a median gap larger than the parent's q3 - q1;
 - `notes`: the JSON object in --notes, for one-off figures.
@@ -27,8 +31,9 @@ The file is written once, at the end; the phases print as they finish.
 
 `--trajectory` prints one row per committed BENCH_*.json: Tier-1 wall time
 and passed count, src/ lines, the seed-ledger medians of the margins that
-criteria 2, 4 and 9 gate, and the claim. It reads the variant keys of the
-files written by hand before this script.
+criteria 2, 4 and 9 gate, a few per-layer figures of the change (blank in
+files without a `layers` section), and the claim. It reads the variant
+keys of the files written by hand before this script.
 """
 
 import argparse
@@ -36,6 +41,7 @@ import json
 import os
 import platform
 import re
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -59,6 +65,13 @@ GATED = {
     "c4 duffing std": ("bands", "duffing/bbb", "std_train"),
     "c4 burgers infl": ("bands", "burgers/bbb", "inflation"),
     "c9 coverage": ("bands", "linear_ode/bbb", "coverage"),
+}
+# the per-layer medians the trajectory shows: (workload, perfbench metric)
+LAYER_COLUMNS = {
+    "s1 epoch ms": ("burgers_solve", "stage1.epoch_ms_p50"),
+    "bbb epoch ms": ("burgers_bands", "uq.bbb.epoch_ms"),
+    "mc band s": ("burgers_bands", "uq.predictive.mc_band_s"),
+    "adam step us": ("ode_matrix", "optim.adam_step_us"),
 }
 
 
@@ -108,6 +121,24 @@ def margins(roots: dict) -> dict:
         return {side: json.loads(path.read_text()) for side, path in outs.items()}
 
 
+def layers(roots: dict, workload: str, first_seed: int, seconds: float) -> dict:
+    """Two traced perfbench runs per tree, parent, change, change, parent, at
+    seeds first_seed and first_seed + 1; per tree the median of each
+    per-layer metric over its two runs."""
+    runs = {side: [] for side in roots}
+    correct = True
+    for i, side in enumerate(("parent", "change", "change", "parent")):
+        result, _ = ab_pairs.bench(roots[side], workload, first_seed + i // 2, seconds, trace=1)
+        correct &= result["correct"]
+        runs[side].append({k: m["value"] for k, m in result["metrics"].items()})
+        print("layers", workload, side, "correct" if result["correct"] else "NOT correct",
+              flush=True)
+    return {"seeds": [first_seed, first_seed + 1], "correct": correct,
+            **{side: {k: statistics.median(r[k] for r in rs if k in r)
+                      for k in sorted(set().union(*rs))}
+               for side, rs in runs.items()}}
+
+
 def pair_rule(summary: dict, metric: str, better: str) -> dict:
     m = summary["metrics"][metric]
     iqr = m["parent_q3"] - m["parent_q1"]
@@ -125,11 +156,14 @@ def trajectory_row(data: dict) -> dict:
     if passed is None:  # written by hand as the pytest summary line
         passed = int(re.search(r"(\d+) passed", change["result"]).group(1))
     ledger = data["margins"]["change"]
+    per_layer = data.get("layers", {})
     claim = data.get("claim")
     return {"pr": data["pr"], "tier1_s": change["wall_s"], "passed": passed,
             "src": data["lines"]["src"]["change"],
             **{name: ledger[section][case][figure]["median"]
                for name, (section, case, figure) in GATED.items()},
+            **{name: per_layer.get(workload, {}).get("change", {}).get(metric)
+               for name, (workload, metric) in LAYER_COLUMNS.items()},
             "claim": "-" if not claim else
             f"{claim['workload']}/{claim['metric']} {'met' if claim['met'] else 'not met'}"}
 
@@ -139,8 +173,8 @@ def print_trajectory() -> None:
             for p in sorted(HERE.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))]
     print("  ".join(f"{k:>15s}" for k in rows[0]))
     for row in rows:
-        print("  ".join(f"{v:>15.4g}" if isinstance(v, float) else f"{v!s:>15s}"
-                        for v in row.values()))
+        print("  ".join(f"{v:>15.4g}" if isinstance(v, float) else
+                        f"{'' if v is None else v!s:>15s}" for v in row.values()))
 
 
 def main() -> None:
@@ -180,6 +214,9 @@ def main() -> None:
     bench["ab_pairs"] = {w["name"]: ab_pairs.run_pairs(roots["parent"], w["name"], PAIRS,
                                                        args.first_seed + 100 * i)
                          for i, w in enumerate(spec["workloads"])}
+    bench["layers"] = {w["name"]: layers(roots, w["name"], args.first_seed + 100 * i,
+                                         spec["run_seconds"])
+                       for i, w in enumerate(spec["workloads"])}
     if args.claim:
         workload, metric = args.claim.split("/")
         better = next(m["better"] for m in spec["end_to_end"] if m["name"] == metric)

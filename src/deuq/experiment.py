@@ -298,6 +298,7 @@ def run_uq(config: ExperimentConfig, result: stage1.Stage1Result,
     """Everything after stage 1: fit the method on `result` (read from
     `stage1_json`), then write the band CSV, the report and the config echo."""
     problem = result.problem
+    _head_config(config, problem)  # a bad stage-2 head fails before the directory is made
     out_dir = output_root(config)
     out_dir.mkdir(parents=True, exist_ok=True)
     band = run_method(config, result)

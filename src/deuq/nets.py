@@ -71,7 +71,12 @@ class MLPParams:
 
     @classmethod
     def from_flat(cls, config: MLPConfig, flat: np.ndarray) -> "MLPParams":
-        flat = np.asarray(flat, dtype=float)
+        """Per-layer views of a flat vector; one of float32 stays float32, so
+        a float32 kernel's views track its buffer, and any other is read as
+        float64."""
+        flat = np.asarray(flat)
+        if flat.dtype != np.float32:
+            flat = flat.astype(float, copy=False)
         if flat.size != config.n_params:
             raise StructuralError(
                 f"expected {config.n_params} parameters, got {flat.size}"
@@ -262,10 +267,17 @@ class JetKernel:
     and the signs as they were passed. A value-only kernel (m = 0) forms
     no second derivative of the activation and skips the mixing of tangent
     streams into the value stream, as it has none to mix.
+
+    ``dtype`` is the precision of every workspace buffer, the parameters,
+    Δ and the gradients among them; ``points`` stays float64. ``forward``
+    rounds the flat vector (and Δ) into it and returns float64 streams, and
+    ``backward`` rounds the cotangent into it once and returns float64
+    gradients, so a float32 kernel is a drop-in for a float64 one whose
+    results agree to float32 precision.
     """
 
     def __init__(self, config: MLPConfig, points: np.ndarray,
-                 seeds: np.ndarray, orders: Sequence[int]):
+                 seeds: np.ndarray, orders: Sequence[int], dtype=np.float64):
         points = np.atleast_2d(np.asarray(points, dtype=float))
         seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
         if points.shape[1] != config.input_dim or seeds.shape[1] != config.input_dim:
@@ -279,21 +291,22 @@ class JetKernel:
         q = self._q = sum(o == 2 for o in orders)
         S, n = 1 + m + q, points.shape[0]
 
-        self._x = np.zeros((S, n, config.input_dim))
+        self._x = np.zeros((S, n, config.input_dim), dtype)
         self._x[0] = points
         self._x[1 : 1 + m] = seeds[self._perm][:, None, :]
         self._act = _ACTIVATIONS[config.activation]
         widths = config.hidden_sizes
-        self._z = [np.empty((S, n, w)) for w in widths]  # pre-activation streams
-        self._h = [np.empty((S, n, w)) for w in widths]  # post-activation streams
-        self._g = [np.empty((S, n, w)) for w in widths]  # their cotangents
+        self._z = [np.empty((S, n, w), dtype) for w in widths]  # pre-activation streams
+        self._h = [np.empty((S, n, w), dtype) for w in widths]  # post-activation streams
+        self._g = [np.empty((S, n, w), dtype) for w in widths]  # their cotangents
         # first, (with m > 0) second and (with q > 0) third derivative of the activation
-        self._d = [np.empty((1 + (m > 0) + (q > 0), n, w)) for w in widths]
-        self._sq = [np.empty((q, n, w)) for w in widths]  # squared tangents
-        self._tmp = [np.empty((S - 1, n, w)) for w in widths]
-        self._acc = [np.empty((n, w)) for w in widths]
-        self._out = np.empty((S, n, config.output_dim))
-        self._params, self._grad = np.empty(config.n_params), np.empty(config.n_params)
+        self._d = [np.empty((1 + (m > 0) + (q > 0), n, w), dtype) for w in widths]
+        self._sq = [np.empty((q, n, w), dtype) for w in widths]  # squared tangents
+        self._tmp = [np.empty((S - 1, n, w), dtype) for w in widths]
+        self._acc = [np.empty((n, w), dtype) for w in widths]
+        self._out = np.empty((S, n, config.output_dim), dtype)
+        P = config.n_params
+        self._params, self._grad = np.empty(P, dtype), np.empty(P, dtype)
         self._net = MLPParams.from_flat(config, self._params)  # per-layer views
         self._grads = MLPParams.from_flat(config, self._grad)
         self._delta = self._flip = None
@@ -321,12 +334,12 @@ class JetKernel:
         if np.size(delta) != P:
             raise StructuralError(f"expected {P} parameters, got {np.size(delta)}")
         if self._delta is None:  # per layer: Δ's views, scratch, sign columns r and s
-            n, shapes = self._x.shape[1], self.config.layer_shapes()
-            self._delta, self._dgrad = np.empty(P), np.empty(P)
+            n, shapes, dtype = self._x.shape[1], self.config.layer_shapes(), self._x.dtype
+            self._delta, self._dgrad = np.empty(P, dtype), np.empty(P, dtype)
             self._dgrads = MLPParams.from_flat(self.config, self._dgrad)
             d = MLPParams.from_flat(self.config, self._delta)
             ends = np.cumsum(shapes, axis=0).tolist()
-            self._layers = [(dW, db, np.empty((n, i)), np.empty((n, o)),
+            self._layers = [(dW, db, np.empty((n, i), dtype), np.empty((n, o), dtype),
                              slice(r1 - o, r1), slice(s1 - i, s1))
                             for dW, db, (o, i), (r1, s1) in zip(d.weights, d.biases, shapes, ends)]
         self._delta[...] = delta
@@ -360,7 +373,7 @@ class JetKernel:
                 np.multiply(z[1 + m :], d[0], out=tmp)
                 h[1 + m :] += tmp
             prev = h
-        return self._out.copy()
+        return self._out.astype(float)
 
     def backward(self, g: np.ndarray):
         """Flat gradient to the parameters, given the cotangent of the output
@@ -368,7 +381,7 @@ class JetKernel:
         of it and the flat gradient to Δ."""
         m, q = self._m, self._q
         weights, grads = self._net.weights, self._grads
-        g = np.ascontiguousarray(g, dtype=float)
+        g = np.ascontiguousarray(g, dtype=self._x.dtype)
         for i in range(len(weights) - 1, -1, -1):
             prev = self._h[i - 1] if i else self._x
             rows = prev.shape[0] * prev.shape[1]
@@ -412,9 +425,10 @@ class JetKernel:
                 G[1 : 1 + q] += tmp[:q]
                 G[1 + m :] *= d[0]
             g = G
+        grad = self._grad.astype(float)
         if self._flip is None:
-            return self._grad.copy()
-        return self._grad.copy(), (self._grad if self._signs is None else self._dgrad).copy()
+            return grad
+        return grad, (self._grad if self._signs is None else self._dgrad).astype(float)
 
 
 # the backward pass under the name every trainer calls it by

@@ -8,6 +8,7 @@ stage-two probabilistic regressors consume.
 Each epoch is one pass of the network's jet kernel, the residual loss in
 forward mode on its output streams (which gives the loss and the streams'
 cotangent together) and the kernel's backward pass from that cotangent.
+The kernel runs in float32 and everything around it in float64.
 """
 
 from __future__ import annotations
@@ -90,10 +91,18 @@ def sample_collocation(domain: Sequence[problems.Interval], n: int,
 
 
 def jet_kernel(problem: problems.ProblemSpec, config: nets.MLPConfig,
-               points: np.ndarray) -> nets.JetKernel:
+               points: np.ndarray, dtype=np.float32) -> nets.JetKernel:
     """The network's jet kernel on the collocation points: direction d is
-    input d, carried to the order the residual declares along it."""
-    return nets.JetKernel(config, points, np.eye(problem.input_dim), problem.derivative_orders)
+    input d, carried to the order the residual declares along it.
+
+    The solve runs it in float32 (mixed precision, Micikevicius et al.
+    2018): the kernel's passes are most of an epoch, and float32 halves
+    their memory traffic and doubles their SIMD width, while the weights,
+    Adam's moments, the enforcement, the residual and the loss stay
+    float64. A fit stops near a loss of 1e-5, far above float32 rounding.
+    """
+    return nets.JetKernel(config, points, np.eye(problem.input_dim), problem.derivative_orders,
+                          dtype)
 
 
 def enforcement_jets(problem: problems.ProblemSpec, points: np.ndarray) -> dict:

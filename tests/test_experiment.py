@@ -300,12 +300,18 @@ def test_cli_run_rejects_nonpositive_coverage_k_before_any_compute(tmp_path, cap
     ("--stage2-activation", "relu"),
     ("--stage2-hidden-sizes", "8,8,8,8"),
 ])
-@pytest.mark.parametrize("command", ["run", "solve"])
+@pytest.mark.parametrize("command", ["run", "solve", "uq"])
 def test_cli_run_rejects_bad_stage2_settings_before_stage1(tmp_path, capsys, command, flag, value):
-    # `solve` fits no stage 2, but a stage-1 file is solved to be used by one
+    # `solve` fits no stage 2, but a stage-1 file is solved to be used by one;
+    # `uq` gets a good stage-1 file and must not make its output directory
     out = tmp_path / "out"
-    assert main([command, "--preset", "linear_ode", "--method", "nlm", "--out", str(out),
-                 "--epochs-stage1", "300", "--n-collocation", "16", flag, value]) == 2
+    common = ["--preset", "linear_ode", "--method", "nlm", "--epochs-stage1", "300",
+              "--n-collocation", "16"]
+    stage1_file = []
+    if command == "uq":
+        assert main(["solve", *common, "--out", str(tmp_path / "solved")]) == 0
+        stage1_file = ["--stage1", str(tmp_path / "solved" / "stage1_linear_ode_seed0.json")]
+    assert main([command, *stage1_file, *common, "--out", str(out), flag, value]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
 

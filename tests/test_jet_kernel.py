@@ -35,7 +35,7 @@ def _kernel_loss_and_grad(problem, kernel, flat):
 @pytest.mark.parametrize("preset", problems.preset_names())
 def test_kernel_matches_tape_oracle(preset, activation, depth):
     problem, cfg, points, flat = _setup(preset, activation, depth, seed=depth)
-    kernel = stage1.jet_kernel(problem, cfg, points)
+    kernel = stage1.jet_kernel(problem, cfg, points, dtype=np.float64)
     loss, grad = _kernel_loss_and_grad(problem, kernel, flat)
 
     leaf = Var(flat)
@@ -44,6 +44,36 @@ def test_kernel_matches_tape_oracle(preset, activation, depth):
     ref_grad = grad_params(ref, [leaf])
     assert abs(loss - float(ref.data)) <= 1e-12 * abs(float(ref.data))
     assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
+
+
+# float32 rounding is 6e-8; over every preset x activation x depth 1-3 at
+# these points and weights the float32 stage-1 kernel's loss and gradient
+# differed from the float64 kernel's by at most 3.5e-7 and 4.8e-7 relative,
+# so 1e-5 leaves 20x headroom
+FLOAT32_REL = 1e-5
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+@pytest.mark.parametrize("preset", problems.preset_names())
+def test_float32_kernel_matches_float64_kernel(preset, activation):
+    problem, cfg, points, flat = _setup(preset, activation, depth=2, seed=2)
+    loss, grad = _kernel_loss_and_grad(problem, stage1.jet_kernel(problem, cfg, points), flat)
+    ref, ref_grad = _kernel_loss_and_grad(
+        problem, stage1.jet_kernel(problem, cfg, points, dtype=np.float64), flat)
+    assert abs(loss - ref) <= FLOAT32_REL * abs(ref)
+    assert np.max(np.abs(grad - ref_grad)) <= FLOAT32_REL * np.max(np.abs(ref_grad))
+    assert loss != ref  # the default stage-1 kernel does round to float32
+
+
+def test_float32_kernel_returns_float64():
+    problem, cfg, points, flat = _setup("burgers")
+    kernel = stage1.jet_kernel(problem, cfg, points)
+    out = kernel.forward(flat)
+    assert out.dtype == np.float64
+    assert kernel.backward(np.ones_like(out)).dtype == np.float64
+    values = nets.JetKernel(cfg, points, np.zeros((0, 2)), (), dtype=np.float32)
+    assert values.forward(flat, 0.1 * flat).dtype == np.float64
+    assert [g.dtype for g in values.backward(np.ones((1, len(points), 1)))] == [np.float64] * 2
 
 
 @pytest.mark.parametrize("output_dim", [1, 4])
@@ -129,16 +159,18 @@ def test_flip_term_needs_a_value_only_kernel():
         nets.JetKernel(cfg, points, np.zeros((0, 1)), ()).forward(flat, np.zeros(1))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("preset", problems.preset_names())
-def test_kernel_calls_leave_no_state(preset):
+def test_kernel_calls_leave_no_state(preset, dtype):
+    # a reused kernel reads each new flat vector through its per-layer views
     problem, cfg, points, flat = _setup(preset)
     other = flat + 0.5
-    kernel = stage1.jet_kernel(problem, cfg, points)
+    kernel = stage1.jet_kernel(problem, cfg, points, dtype)
     first = _kernel_loss_and_grad(problem, kernel, flat)
     again = _kernel_loss_and_grad(problem, kernel, flat)
     moved = _kernel_loss_and_grad(problem, kernel, other)
     back = _kernel_loss_and_grad(problem, kernel, flat)
-    fresh = _kernel_loss_and_grad(problem, stage1.jet_kernel(problem, cfg, points), other)
+    fresh = _kernel_loss_and_grad(problem, stage1.jet_kernel(problem, cfg, points, dtype), other)
     for a, b in ((first, again), (first, back), (moved, fresh)):
         assert a[0] == b[0]
         np.testing.assert_array_equal(a[1], b[1])

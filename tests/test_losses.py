@@ -124,7 +124,7 @@ def _stage1_setup(preset):
     points = stage1.sample_collocation(problem.train_domain, 5 if problem.input_dim == 2 else 17,
                                        "uniform_random", seed=1)
     flat = nets.init(cfg).flat() + np.random.default_rng(2).normal(0.0, 0.3, cfg.n_params)
-    kernel = stage1.jet_kernel(problem, cfg, points)
+    kernel = stage1.jet_kernel(problem, cfg, points, dtype=np.float64)
     enforcement = stage1.enforcement_jets(problem, points)
 
     def loss_and_grad(x):
