@@ -4,19 +4,21 @@
 This reproduces the headline qualitative result: tight predictive bands on
 the training domain that widen outside it, with conditions carrying zero
 uncertainty. Band CSVs land in the output directory for plotting. The
-summary records the sha256 of each band CSV and report JSON, so two
-summaries at one seed show whether a change kept every band byte for byte,
-and the wall time of each pair's `experiment.run` call as `wall_s` (it
-includes the stage-1 solve only where the pair did not reuse a cached one).
+summary records the sha256 of each pair's band CSV, report JSON, stage-1
+file and config echo (the echo without its `output_dir`), so two summaries
+at one seed show whether a change kept every file byte for byte, and the
+wall time of each pair's `experiment.run` call as `wall_s` (it includes
+the stage-1 solve only where the pair did not reuse a cached one).
 
-With `--compare OLD_SUMMARY.json` the script prints nothing but the pairs
-whose band or report sha256 differs from that summary and exits 1 if there
-is any: the byte check of a change against its parent at one seed. Each
-such pair gets a line naming the digests that differ, then how far the
-files moved, read against the band CSV and report of the same name next
-to the old summary: the largest |Δ| in each value column of the band
-(mean, std, reference) and the relative change of each numeric report
-field.
+With `--compare OLD_SUMMARY.json` the script prints nothing but the files
+whose sha256 differs from that summary and exits 1 if there is any: the
+byte check of a change against its parent at one seed. Each such file
+gets a line naming its kind (band, report, stage1 or config), then how far
+it moved, read against the file of the same name next to the old summary:
+for a band, the largest |Δ| in each value column (mean, std, reference);
+for a report, the relative change of each numeric field; for a stage-1
+file or a config echo, the top-level keys whose values differ. A stage-1
+file, which the pairs of one preset share, is named once.
 """
 
 import argparse
@@ -38,18 +40,39 @@ def _band_columns(path: Path) -> dict:
             if name.split("_")[0] in ("mean", "std", "reference")}
 
 
-def _changes(old_dir: Path, band_csv: Path, report_json: Path) -> list[str]:
-    """How far a pair's band and report moved from the old files of the same name."""
-    old_band, old_report = old_dir / band_csv.name, old_dir / report_json.name
-    if not (old_band.exists() and old_report.exists()):
-        return [f"  no {old_band.name} or {old_report.name} in {old_dir}"]
-    old, new = _band_columns(old_band), _band_columns(band_csv)
-    band = " ".join(f"{name}={np.max(np.abs(new[name] - old[name])):.2e}" for name in new)
-    old, new = json.loads(old_report.read_text()), json.loads(report_json.read_text())
-    report = " ".join(
+def _band_changes(old: Path, new: Path) -> str:
+    old, new = _band_columns(old), _band_columns(new)
+    return "band max |Δ|: " + " ".join(
+        f"{name}={np.max(np.abs(new[name] - old[name])):.2e}" for name in new)
+
+
+def _report_changes(old: Path, new: Path) -> str:
+    old, new = json.loads(old.read_text()), json.loads(new.read_text())
+    return "report relative Δ: " + " ".join(
         f"{key}={abs(new[key] - old[key]) / abs(old[key]) if old[key] else abs(new[key]):.2e}"
         for key in sorted(new) if isinstance(new[key], float))
-    return [f"  band max |Δ|: {band}", f"  report relative Δ: {report}"]
+
+
+def _key_changes(old: Path, new: Path) -> str:
+    old, new = json.loads(old.read_text()), json.loads(new.read_text())
+    keys = sorted(k for k in old.keys() | new.keys()
+                  if k != "output_dir" and old.get(k) != new.get(k))
+    return "keys that differ: " + (", ".join(keys) or "none")
+
+
+# file kind -> how far a file of that kind moved from the old one
+CHANGES = {"band": _band_changes, "report": _report_changes,
+           "stage1": _key_changes, "config": _key_changes}
+
+
+def _digest(kind: str, path: Path) -> str:
+    """sha256 of the file; of a config echo, without its output directory."""
+    data = Path(path).read_bytes()
+    if kind == "config":
+        echo = json.loads(data)
+        echo.pop("output_dir")
+        data = json.dumps(echo, sort_keys=True).encode()
+    return hashlib.sha256(data).hexdigest()
 
 
 def main() -> None:
@@ -60,7 +83,7 @@ def main() -> None:
                         default=["linear_ode", "duffing", "lotka_volterra", "burgers"])
     parser.add_argument("--methods", nargs="*", default=list(experiment.METHODS))
     parser.add_argument("--compare", type=Path, metavar="OLD_SUMMARY.json",
-                        help="print only the pairs whose band or report sha256 differs")
+                        help="print only the files whose sha256 differs")
     args = parser.parse_args()
     old = json.loads(args.compare.read_text()) if args.compare else None
 
@@ -74,10 +97,11 @@ def main() -> None:
             paths = experiment.run(config)
             wall_s = time.perf_counter() - start
             report = json.loads(Path(paths.report_json).read_text())
-            digests = {f"{kind}_sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()
-                       for kind, path in (("band", paths.band_csv), ("report", paths.report_json))}
+            kinds = {"band": paths.band_csv, "report": paths.report_json,
+                     "stage1": paths.stage1_json, "config": paths.config_json}
+            digests = {f"{kind}_sha256": _digest(kind, path) for kind, path in kinds.items()}
             rows.append((preset, method, {**report, **digests, "wall_s": wall_s}))
-            files[f"{preset}/{method}"] = (paths.band_csv, paths.report_json)
+            files[f"{preset}/{method}"] = kinds
             if old is not None:
                 continue
             inflation = report["inflation_ratio"]  # null for a band flat inside
@@ -97,14 +121,16 @@ def main() -> None:
     if old is None:
         print(f"\nsummary: {summary_path}")
         return
-    differ = False
+    differ = set()
     for pair, row in summary.items():
-        kinds = [kind for kind in ("band", "report")
-                 if row[f"{kind}_sha256"] != old.get(pair, {}).get(f"{kind}_sha256")]
-        if kinds:
-            differ = True
-            print(f"{pair}: {', '.join(kinds)} sha256 differs", flush=True)
-            print("\n".join(_changes(args.compare.parent, *files[pair])), flush=True)
+        for kind, path in files[pair].items():
+            if row[f"{kind}_sha256"] == old.get(pair, {}).get(f"{kind}_sha256") or path in differ:
+                continue
+            differ.add(path)
+            old_path = args.compare.parent / path.name
+            moved = (CHANGES[kind](old_path, path) if old_path.exists()
+                     else f"no {old_path.name} in {old_path.parent}")
+            print(f"{path.name}: {kind} sha256 differs\n  {moved}", flush=True)
     sys.exit(1 if differ else 0)
 
 

@@ -107,18 +107,22 @@ class ExperimentConfig:
             raise ConfigError("n_mc_samples must be at least 2 for MC methods")
         if not self.coverage_k > 0.0:
             raise ConfigError("coverage width k must be positive")
-        # each rule asks for the good case, so that NaN fails it
-        for name in ("eps", "prior_std", "lr_stage2"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive")
-        if not self.der_lambda >= 0.0:
-            raise ConfigError("der_lambda must be nonnegative")
-        if self.epochs_stage2 is not None and not self.epochs_stage2 >= 0:
-            raise ConfigError("epochs_stage2 must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        if self.eval_grid is not None and self.eval_grid < 2:
-            raise ConfigError("eval_grid must be at least 2 points per dimension")
+        if self.sampler not in stage1.SAMPLERS:
+            raise ConfigError(f"unknown sampler {self.sampler!r}; valid samplers: "
+                              f"{', '.join(stage1.SAMPLERS)}")
+        # each rule asks for the good case, so that NaN fails it; an unset
+        # (None) field takes its preset default
+        for names, good, rule in (
+            (("eps", "prior_std", "lr_stage1", "lr_stage2"), lambda v: v > 0.0, "be positive"),
+            (("der_lambda", "tolerance", "epochs_stage1", "epochs_stage2", "seed"),
+             lambda v: v >= 0, "be nonnegative"),
+            (("n_collocation", "dataset_grid", "eval_grid"), lambda v: v >= 2,
+             "be at least 2 points per dimension"),
+        ):
+            for name in names:
+                value = getattr(self, name)
+                if value is not None and not good(value):
+                    raise ConfigError(f"{name} must {rule}")
         if self.hidden_sizes is not None:
             self.hidden_sizes = tuple(self.hidden_sizes)
         if self.stage2_hidden_sizes is not None:
@@ -159,8 +163,12 @@ def build_problem(config: ExperimentConfig) -> problems.ProblemSpec:
     return problems.make_preset(config.preset, **_problem_overrides(config))
 
 
-def _stage1_configs(config: ExperimentConfig, problem) -> tuple[nets.MLPConfig, stage1.TrainConfig]:
+def _stage1_inputs(config: ExperimentConfig) -> tuple[problems.ProblemSpec, nets.MLPConfig, dict]:
+    """The problem, the network and the keyword settings of the stage-1
+    solve of `config`; `run_stage1` solves with them and `stage1_digest`
+    hashes them."""
     resolved = config.resolved()
+    problem = build_problem(config)
     net_config = nets.MLPConfig(
         input_dim=problem.input_dim,
         output_dim=problem.n_outputs,
@@ -168,36 +176,36 @@ def _stage1_configs(config: ExperimentConfig, problem) -> tuple[nets.MLPConfig, 
         activation=config.activation,
         seed=derive_seed(config.seed, "stage1_init"),
     )
-    train_config = stage1.TrainConfig(
+    settings = dict(
         n_collocation=resolved["n_collocation"],
         sampler=config.sampler,
-        epochs=resolved["epochs_stage1"],
-        learning_rate=resolved["lr_stage1"],
         seed=derive_seed(config.seed, "collocation"),
+        epochs=resolved["epochs_stage1"],
+        lr=resolved["lr_stage1"],
         tolerance=config.tolerance,
         dataset_grid=resolved["dataset_grid"],
     )
-    return net_config, train_config
+    return problem, net_config, settings
 
 
 def run_stage1(config: ExperimentConfig) -> stage1.Stage1Result:
-    problem = build_problem(config)
+    problem, net_config, settings = _stage1_inputs(config)
     _head_config(config, problem)  # a bad stage-2 head fails before the solve
-    return stage1.train_deterministic(problem, *_stage1_configs(config, problem))
+    return stage1.train_deterministic(problem, net_config, **settings)
 
 
 def stage1_digest(config: ExperimentConfig) -> str:
     """sha256 over everything the stage-1 solve of `config` depends on: the
-    preset and its overrides, the network config and the training config.
-    A cached stage-1 file is reused only when its digest is equal."""
-    problem = build_problem(config)
-    net_config, train_config = _stage1_configs(config, problem)
-    settings = {
+    preset and its overrides, the network config and the settings the solve
+    is called with. A cached stage-1 file is reused only when its digest is
+    equal."""
+    problem, net_config, settings = _stage1_inputs(config)
+    key = {
         "problem": {"name": problem.name, "overrides": _problem_overrides(config)},
         "net_config": dataclasses.asdict(net_config),
-        "train_config": dataclasses.asdict(train_config),
+        "settings": settings,
     }
-    return hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
 
 
 def _head_config(config: ExperimentConfig, problem) -> nets.MLPConfig:

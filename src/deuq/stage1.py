@@ -27,36 +27,6 @@ from .errors import ConfigError
 from .nets import grad_params
 from .optim import fit
 
-_SAMPLERS = ("equispaced", "uniform_random", "equispaced_jitter")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    dataset_grid: int  # stage-2 dataset points per input dimension
-    n_collocation: int = 64  # per input dimension
-    sampler: str = "equispaced"
-    epochs: int = 6000
-    learning_rate: float = 2e-3
-    optimizer: str = "adam"
-    seed: int = 0
-    tolerance: float = 0.0
-
-    def __post_init__(self):
-        if self.n_collocation < 2:
-            raise ConfigError("n_collocation must be at least 2")
-        if not self.epochs >= 0:
-            raise ConfigError("epochs must be nonnegative")
-        if not self.learning_rate > 0.0:
-            raise ConfigError("learning_rate must be positive")
-        if self.sampler not in _SAMPLERS:
-            raise ConfigError(f"unknown sampler {self.sampler!r}; valid: {_SAMPLERS}")
-        if self.optimizer != "adam":
-            raise ConfigError("only the adam optimizer is supported")
-        if not self.tolerance >= 0.0:
-            raise ConfigError("tolerance must be nonnegative")
-        if self.dataset_grid < 2:
-            raise ConfigError("dataset_grid must be at least 2 points per dimension")
-
 
 @dataclass
 class Stage1Result:
@@ -68,26 +38,30 @@ class Stage1Result:
     settings_digest: str | None = None  # of the settings that produced it
 
 
-def sample_collocation(domain: Sequence[problems.Interval], n: int,
-                       sampler: str = "equispaced", seed: int = 0) -> np.ndarray:
-    """Collocation points inside the training domain, n per dimension
-    (product grid in several dimensions). Deterministic for a fixed seed."""
-    if n < 2:
-        raise ConfigError("need at least 2 collocation points per dimension")
-    if sampler not in _SAMPLERS:
-        raise ConfigError(f"unknown sampler {sampler!r}; valid: {_SAMPLERS}")
-    rng = np.random.default_rng(seed)
-    if sampler == "equispaced":
-        return problems.grid_points(domain, n)
-    if sampler == "uniform_random":
-        cols = [rng.uniform(lo, hi, size=n ** len(domain)) for lo, hi in domain]
-        return np.stack(cols, axis=1)
-    # equispaced_jitter: perturb the grid by up to half a spacing, clipped
+def _jitter(domain, n, rng):
+    """The equispaced grid, each point moved by up to half a spacing, clipped."""
     pts = problems.grid_points(domain, n)
     for axis, (lo, hi) in enumerate(domain):
         half = (hi - lo) / (n - 1) / 2.0
         pts[:, axis] = np.clip(pts[:, axis] + rng.uniform(-half, half, pts.shape[0]), lo, hi)
     return pts
+
+
+# sampler name -> points(domain, n per dimension, rng)
+SAMPLERS = {
+    "equispaced": lambda domain, n, rng: problems.grid_points(domain, n),
+    "uniform_random": lambda domain, n, rng: np.stack(
+        [rng.uniform(lo, hi, size=n ** len(domain)) for lo, hi in domain], axis=1),
+    "equispaced_jitter": _jitter,
+}
+
+
+def sample_collocation(domain: Sequence[problems.Interval], n: int,
+                       sampler: str = "equispaced", seed: int = 0) -> np.ndarray:
+    """Collocation points inside the training domain, n per dimension
+    (product grid in several dimensions), by the sampler of that name in
+    ``SAMPLERS``. Deterministic for a fixed seed."""
+    return SAMPLERS[sampler](domain, n, np.random.default_rng(seed))
 
 
 def jet_kernel(problem: problems.ProblemSpec, config: nets.MLPConfig,
@@ -149,18 +123,19 @@ def residual_loss(problem: problems.ProblemSpec, kernel: nets.JetKernel, flat: n
     return float(loss), cotangent.reshape(S, K, n).transpose(0, 2, 1)
 
 
-def train_deterministic(problem: problems.ProblemSpec, net_config: nets.MLPConfig,
-                        train_config: TrainConfig) -> Stage1Result:
-    """Full-batch Adam on the mean squared residual; raises DivergenceError
-    (carrying the last finite state) if the loss leaves the finite range."""
+def train_deterministic(problem: problems.ProblemSpec, net_config: nets.MLPConfig, *,
+                        n_collocation: int, sampler: str, seed: int, epochs: int, lr: float,
+                        tolerance: float, dataset_grid: int) -> Stage1Result:
+    """Full-batch Adam on the mean squared residual at n_collocation points
+    per dimension, drawn by `sampler` from `seed`; raises DivergenceError
+    (carrying the last finite state) if the loss leaves the finite range.
+    The dataset is the enforced solution on a grid of dataset_grid points
+    per dimension. The settings are checked by ``ExperimentConfig``."""
     if net_config.input_dim != problem.input_dim:
         raise ConfigError("net input_dim does not match the problem")
     if net_config.output_dim != problem.n_outputs:
         raise ConfigError("net output_dim does not match the problem outputs")
-    points = sample_collocation(
-        problem.train_domain, train_config.n_collocation,
-        train_config.sampler, train_config.seed,
-    )
+    points = sample_collocation(problem.train_domain, n_collocation, sampler, seed)
     # the kernel's workspace and the enforcement jets live for this fit only
     kernel = jet_kernel(problem, net_config, points)
     enforcement = enforcement_jets(problem, points)
@@ -170,13 +145,12 @@ def train_deterministic(problem: problems.ProblemSpec, net_config: nets.MLPConfi
         return loss, lambda: grad_params(kernel, cotangent)
 
     flat, history = fit(
-        loss_and_grad, nets.init(net_config).flat(), train_config.learning_rate,
-        train_config.epochs, tolerance=train_config.tolerance,
+        loss_and_grad, nets.init(net_config).flat(), lr, epochs, tolerance=tolerance,
         name="stage-1 residual loss",
         params=lambda x: nets.MLPParams.from_flat(net_config, x),
     )
     final = nets.MLPParams.from_flat(net_config, flat)
-    grid = problems.grid_points(problem.train_domain, train_config.dataset_grid)
+    grid = problems.grid_points(problem.train_domain, dataset_grid)
     values = evaluate_enforced(problem, final, grid)
     return Stage1Result(problem, final, history, grid, values)
 

@@ -333,20 +333,54 @@ def test_run_method_rejects_an_empty_ragged_or_nonfinite_dataset(tmp_path, point
     ("--eps", "nan"),
     ("--prior-std", "nan"),
     ("--lr-stage1", "nan"),
+    ("--lr-stage1", "0"),
     ("--lr-stage2", "nan"),
     ("--der-lambda", "nan"),
     ("--tolerance", "nan"),
+    ("--tolerance", "-1"),
     ("--epochs-stage1", "-5"),
+    ("--n-collocation", "1"),
+    ("--dataset-grid", "1"),
+    ("--sampler", "sobol"),
     ("--seed", "-1"),
 ])
-def test_cli_run_rejects_nan_settings_and_negative_stage1_epochs(tmp_path, capsys, flag, value):
-    # NaN fails every comparison, so each rule must ask for the good case
+@pytest.mark.parametrize("command", ["run", "solve", "uq"])
+def test_cli_run_rejects_nan_settings_and_negative_stage1_epochs(tmp_path, capsys, command,
+                                                                 flag, value):
+    # NaN fails every comparison, so each rule must ask for the good case;
+    # the message names the field the user set
     out = tmp_path / "out"
-    assert main(["run", "--preset", "linear_ode", "--method", "nlm", "--out", str(out),
-                 "--epochs-stage1", "300", "--epochs-stage2", "200", "--n-collocation", "16",
-                 flag, value]) == 2
-    assert "error:" in capsys.readouterr().err
+    common = ["--preset", "linear_ode", "--method", "nlm", "--epochs-stage1", "300",
+              "--epochs-stage2", "200", "--n-collocation", "16"]
+    stage1_file = []
+    if command == "uq":
+        assert main(["solve", *common, "--out", str(tmp_path / "solved")]) == 0
+        stage1_file = ["--stage1", str(tmp_path / "solved" / "stage1_linear_ode_seed0.json")]
+    assert main([command, *stage1_file, *common, "--out", str(out), flag, value]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and flag[2:].replace("-", "_") in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,objective", [
+    (["solve", "--lr-stage1", "1e200"], "stage-1 residual loss"),
+    (["run", "--method", "bbb", "--lr-stage2", "1e200"], "variational objective"),
+    (["run", "--method", "flipout", "--lr-stage2", "1e200"], "variational objective"),
+    (["run", "--method", "nlm", "--lr-stage2", "1e200"], "feature-network objective"),
+    (["run", "--method", "der", "--lr-stage2", "1e200"], "evidential objective"),
+], ids=["solve", "bbb", "flipout", "nlm", "der"])
+def test_cli_exits_1_on_a_diverging_fit_and_writes_no_artifact(tmp_path, capsys, command,
+                                                              objective):
+    with np.errstate(all="ignore"):
+        assert main([*command, "--preset", "linear_ode", "--out", str(tmp_path),
+                     "--epochs-stage1", "30", "--epochs-stage2", "20", "--n-collocation", "16",
+                     "--dataset-grid", "33", "--eval-grid", "31"]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and objective in err
+    written = {p.name.split("_")[0] for p in tmp_path.iterdir()}
+    assert not written & {"band", "report", "config"}
+    if command[0] == "solve":
+        assert not written
 
 
 @pytest.mark.parametrize("key,value", [("coverage_k", "2"), ("epochs_stage1", "30")])
@@ -415,9 +449,8 @@ def test_explicit_zero_settings_are_taken_as_given(tmp_path):
     with pytest.raises(ConfigError):
         experiment.ExperimentConfig(eval_grid=0)
     for field, value in (("lr_stage1", 0), ("dataset_grid", 1)):
-        with pytest.raises(ConfigError):
-            experiment.run(_cfg(tmp_path / field, **{field: value}))
-        assert not (tmp_path / field).exists()
+        with pytest.raises(ConfigError, match=field):
+            _cfg(tmp_path, **{field: value})
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])

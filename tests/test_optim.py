@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from deuq import nets
+from deuq import nets, problems
 from deuq.errors import DivergenceError
 from deuq.optim import Adam, fit
+from deuq.stage1 import train_deterministic
 from deuq.uq.der import der_train
 from deuq.uq.nlm import train_feature_net
 from deuq.uq.variational import VariationalParams, bbb_train, flipout_train
@@ -106,6 +107,7 @@ X = np.linspace(0.0, 1.0, 16).reshape(-1, 1)
 ARGS = identity_head_args(X, np.sin(X), nets.MLPConfig(1, 1, (8,), seed=0))
 DER_ARGS = identity_head_args(X, np.sin(X), nets.MLPConfig(1, 4, (8,), seed=0))
 VARIATIONAL = dict(eps=1e-2, prior_std=1.0, seed=0)
+STAGE1 = dict(n_collocation=8, sampler="equispaced", seed=0, tolerance=0.0, dataset_grid=9)
 
 # trainer, type of the params it returns, name its divergence error carries
 TRAINERS = {
@@ -117,6 +119,9 @@ TRAINERS = {
             VariationalParams, "variational objective"),
     "flipout": (lambda **budget: flipout_train(*ARGS, **VARIATIONAL, **budget),
                 VariationalParams, "variational objective"),
+    "stage1": (lambda **budget: train_deterministic(
+                   problems.linear_ode(), nets.MLPConfig(1, 1, (8,), seed=0), **STAGE1, **budget),
+               nets.MLPParams, "stage-1 residual loss"),
 }
 
 

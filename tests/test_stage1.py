@@ -2,17 +2,17 @@ import numpy as np
 import pytest
 
 from deuq import nets, problems, stage1
-from deuq.errors import ConfigError, DivergenceError
+from deuq.errors import ConfigError
 from oracles import emit_dataset
 
-QUICK = stage1.TrainConfig(dataset_grid=128, n_collocation=24, epochs=2500,
-                           learning_rate=3e-3, seed=0)
+QUICK = dict(n_collocation=24, sampler="equispaced", seed=0, epochs=2500, lr=3e-3,
+             tolerance=0.0, dataset_grid=128)
 
 
 @pytest.fixture(scope="module")
 def quick_linear_result():
     return stage1.train_deterministic(
-        problems.linear_ode(), nets.MLPConfig(1, 1, (16,), seed=0), QUICK
+        problems.linear_ode(), nets.MLPConfig(1, 1, (16,), seed=0), **QUICK
     )
 
 
@@ -36,21 +36,16 @@ def test_samplers_respect_domain(sampler):
     assert np.all((pts[:, 1] >= 0.0) & (pts[:, 1] <= 1.0))
 
 
-def test_sampler_validation():
-    with pytest.raises(ConfigError):
-        stage1.sample_collocation(((0.0, 1.0),), 1)
-    with pytest.raises(ConfigError):
+def test_sample_collocation_rejects_an_unknown_sampler_name():
+    # ExperimentConfig rejects the name; a direct call must not fall into a branch
+    with pytest.raises(KeyError):
         stage1.sample_collocation(((0.0, 1.0),), 8, "sobol")
-    with pytest.raises(ConfigError):
-        stage1.TrainConfig(dataset_grid=128, learning_rate=0.0)
-    with pytest.raises(ConfigError):
-        stage1.TrainConfig(dataset_grid=128, n_collocation=1)
 
 
 def test_zero_epochs_returns_init_params():
     cfg = nets.MLPConfig(1, 1, (8,), seed=5)
     result = stage1.train_deterministic(
-        problems.linear_ode(), cfg, stage1.TrainConfig(dataset_grid=128, epochs=0)
+        problems.linear_ode(), cfg, **{**QUICK, "epochs": 0}
     )
     np.testing.assert_array_equal(result.params.flat(), nets.init(cfg).flat())
     assert len(result.loss_history) == 1
@@ -59,9 +54,9 @@ def test_zero_epochs_returns_init_params():
 
 def test_training_is_reproducible():
     cfg = nets.MLPConfig(1, 1, (8,), seed=1)
-    tc = stage1.TrainConfig(dataset_grid=128, n_collocation=16, epochs=60, seed=3)
-    a = stage1.train_deterministic(problems.linear_ode(), cfg, tc)
-    b = stage1.train_deterministic(problems.linear_ode(), cfg, tc)
+    settings = {**QUICK, "n_collocation": 16, "epochs": 60, "seed": 3}
+    a = stage1.train_deterministic(problems.linear_ode(), cfg, **settings)
+    b = stage1.train_deterministic(problems.linear_ode(), cfg, **settings)
     assert a.loss_history == b.loss_history
     np.testing.assert_array_equal(a.params.flat(), b.params.flat())
 
@@ -70,21 +65,6 @@ def test_loss_history_is_finite_everywhere(quick_linear_result):
     losses = [l for _, l in quick_linear_result.loss_history]
     assert all(np.isfinite(l) for l in losses)
     assert losses[-1] < 1e-3
-
-
-def test_divergence_error_carries_state():
-    # a single huge step on a squared objective overflows quickly
-    cfg = nets.MLPConfig(1, 1, (8,), seed=2)
-    try:
-        stage1.train_deterministic(
-            problems.duffing(eps_nl=50.0),
-            cfg,
-            stage1.TrainConfig(dataset_grid=128, n_collocation=8, epochs=400, learning_rate=1e3),
-        )
-    except DivergenceError as e:
-        assert e.last_params is not None
-        assert all(np.isfinite(l) for _, l in e.loss_history)
-    # either outcome satisfies the contract: an error or an always-finite loss
 
 
 def test_enforced_dataset_satisfies_conditions_exactly(quick_linear_result):
@@ -97,7 +77,7 @@ def test_enforced_dataset_satisfies_conditions_exactly(quick_linear_result):
 def test_emit_dataset_one_point_grid():
     result = stage1.train_deterministic(
         problems.linear_ode(), nets.MLPConfig(1, 1, (8,), seed=0),
-        stage1.TrainConfig(dataset_grid=128, epochs=0),
+        **{**QUICK, "epochs": 0},
     )
     # grids include the left endpoint where the condition pins the value
     rows = emit_dataset(result, 2)
@@ -132,5 +112,5 @@ def test_stage1_roundtrip(tmp_path, quick_linear_result):
 def test_config_mismatch_rejected():
     with pytest.raises(ConfigError):
         stage1.train_deterministic(
-            problems.lotka_volterra(), nets.MLPConfig(1, 1, (8,)), QUICK
+            problems.lotka_volterra(), nets.MLPConfig(1, 1, (8,)), **QUICK
         )
