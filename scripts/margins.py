@@ -3,7 +3,7 @@
 
     PYTHONPATH=src python3 scripts/margins.py --seeds 6 --out margins.json
 
-For seeds 0 to N-1 it runs `experiment.run_stage1` and `experiment.run_method`
+For seeds 0 to N-1 it runs `experiment.run_stage1` and `experiment.score`
 with the default settings, as tests/test_acceptance.py does: linear_ode and
 duffing with all four methods, burgers with bbb and der. It writes JSON with
 - per preset x method: the min, median and max over seeds of the inflation
@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from deuq import experiment, metrics, problems
+from deuq import experiment, problems
 
 METHODS = ("bbb", "flipout", "nlm", "der")
 CASES = {"linear_ode": METHODS, "duffing": METHODS, "burgers": ("bbb", "der")}
@@ -60,11 +60,8 @@ def main() -> None:
             for method in methods:
                 start = time.perf_counter()
                 config = experiment.ExperimentConfig(preset=preset, method=method, seed=seed)
-                band = experiment.run_method(config, result)
+                report = experiment.score(config, result)[3]
                 wall_s[f"{preset}/{method}"] += time.perf_counter() - start
-                problem = result.problem
-                report = metrics.band_report(band, problems.reference_solution(problem, band.grid),
-                                             metrics.in_train_mask(band.grid, problem.train_domain))
                 for key, field in REPORT_KEYS.items():
                     band_values[f"{preset}/{method}"][key].append(getattr(report, field))
             print(f"{preset} seed {seed}: final loss {stage1_values[preset]['final_loss'][-1]:.3g}",

@@ -14,7 +14,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,8 +38,6 @@ _SEED_SLOTS = {
     "stage2_opt": 3,
     "mc_samples": 4,
 }
-
-OUTPUT_ROOT_ENV = "DEUQ_OUTPUT_ROOT"
 
 _PRESET_DEFAULTS = {
     "linear_ode": dict(hidden_sizes=(32,), n_collocation=64, epochs_stage1=20000,
@@ -67,7 +64,8 @@ class ExperimentConfig:
     preset: str = "linear_ode"
     method: str = "bbb"
     seed: int = 0
-    # network (None = preset default)
+    # network; a None field takes its preset or per-method default when
+    # the config is built
     hidden_sizes: tuple | None = None
     activation: str = "tanh"
     # stage 1
@@ -82,9 +80,9 @@ class ExperimentConfig:
     prior_std: float = 1.0
     der_lambda: float = 0.1
     n_mc_samples: int = 1000
-    epochs_stage2: int | None = None  # None = per-method default
+    epochs_stage2: int | None = None  # per-method default
     lr_stage2: float = 1e-2
-    stage2_hidden_sizes: tuple | None = None  # None = per-method/stage-1 default
+    stage2_hidden_sizes: tuple | None = None  # per-method default, else hidden_sizes
     stage2_activation: str = "rbf"  # localized basis; see README
     # evaluation / output
     eval_grid: int | None = None
@@ -103,6 +101,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown method {self.method!r}; valid methods: {', '.join(METHODS)}"
             )
+        defaults = {"epochs_stage2": _METHOD_STAGE2_EPOCHS[self.method],
+                    **_PRESET_DEFAULTS[self.preset]}
+        for key, value in defaults.items():
+            if getattr(self, key) is None:  # only unset fields; an explicit 0 stays 0
+                setattr(self, key, value)
+        if self.stage2_hidden_sizes is None:
+            self.stage2_hidden_sizes = _METHOD_STAGE2_HIDDEN.get(self.method, self.hidden_sizes)
+        self.hidden_sizes = tuple(self.hidden_sizes)
+        self.stage2_hidden_sizes = tuple(self.stage2_hidden_sizes)
         if self.method in ("bbb", "flipout") and self.n_mc_samples < 2:
             raise ConfigError("n_mc_samples must be at least 2 for MC methods")
         if not self.coverage_k > 0.0:
@@ -110,8 +117,7 @@ class ExperimentConfig:
         if self.sampler not in stage1.SAMPLERS:
             raise ConfigError(f"unknown sampler {self.sampler!r}; valid samplers: "
                               f"{', '.join(stage1.SAMPLERS)}")
-        # each rule asks for the good case, so that NaN fails it; an unset
-        # (None) field takes its preset default
+        # each rule asks for the good case, so that NaN fails it
         for names, good, rule in (
             (("eps", "prior_std", "lr_stage1", "lr_stage2"), lambda v: v > 0.0, "be positive"),
             (("der_lambda", "tolerance", "epochs_stage1", "epochs_stage2", "seed"),
@@ -121,26 +127,21 @@ class ExperimentConfig:
         ):
             for name in names:
                 value = getattr(self, name)
-                if value is not None and not good(value):
+                if not good(value):
                     raise ConfigError(f"{name} must {rule}")
-        if self.hidden_sizes is not None:
-            self.hidden_sizes = tuple(self.hidden_sizes)
-        if self.stage2_hidden_sizes is not None:
-            self.stage2_hidden_sizes = tuple(self.stage2_hidden_sizes)
+        for sizes, activation in (("hidden_sizes", "activation"),
+                                  ("stage2_hidden_sizes", "stage2_activation")):
+            widths = getattr(self, sizes)
+            if not (1 <= len(widths) <= 3 and all(w >= 1 for w in widths)):
+                raise ConfigError(f"{sizes} must be 1 to 3 positive widths, got {list(widths)}")
+            if getattr(self, activation) not in nets.ACTIVATIONS:
+                raise ConfigError(f"{activation} must be one of {', '.join(nets.ACTIVATIONS)}, "
+                                  f"got {getattr(self, activation)!r}")
 
     def resolved(self) -> dict:
-        """Every effective parameter with preset defaults filled in."""
-        out = dataclasses.asdict(self)
-        defaults = {"epochs_stage2": _METHOD_STAGE2_EPOCHS[self.method], **_PRESET_DEFAULTS[self.preset]}
-        for key, value in defaults.items():
-            if out[key] is None:  # only unset fields; an explicit 0 stays 0
-                out[key] = value
-        if out["stage2_hidden_sizes"] is None:
-            out["stage2_hidden_sizes"] = _METHOD_STAGE2_HIDDEN.get(self.method, out["hidden_sizes"])
-        for key in ("hidden_sizes", "stage2_hidden_sizes"):
-            out[key] = list(out[key])
-        out["sub_seeds"] = {name: derive_seed(self.seed, name) for name in _SEED_SLOTS}
-        return out
+        """The config echo: every field, with the derived sub-seeds."""
+        return {**dataclasses.asdict(self),
+                "sub_seeds": {name: derive_seed(self.seed, name) for name in _SEED_SLOTS}}
 
 
 @dataclass
@@ -167,30 +168,28 @@ def _stage1_inputs(config: ExperimentConfig) -> tuple[problems.ProblemSpec, nets
     """The problem, the network and the keyword settings of the stage-1
     solve of `config`; `run_stage1` solves with them and `stage1_digest`
     hashes them."""
-    resolved = config.resolved()
     problem = build_problem(config)
     net_config = nets.MLPConfig(
         input_dim=problem.input_dim,
         output_dim=problem.n_outputs,
-        hidden_sizes=tuple(resolved["hidden_sizes"]),
+        hidden_sizes=config.hidden_sizes,
         activation=config.activation,
         seed=derive_seed(config.seed, "stage1_init"),
     )
     settings = dict(
-        n_collocation=resolved["n_collocation"],
+        n_collocation=config.n_collocation,
         sampler=config.sampler,
         seed=derive_seed(config.seed, "collocation"),
-        epochs=resolved["epochs_stage1"],
-        lr=resolved["lr_stage1"],
+        epochs=config.epochs_stage1,
+        lr=config.lr_stage1,
         tolerance=config.tolerance,
-        dataset_grid=resolved["dataset_grid"],
+        dataset_grid=config.dataset_grid,
     )
     return problem, net_config, settings
 
 
 def run_stage1(config: ExperimentConfig) -> stage1.Stage1Result:
     problem, net_config, settings = _stage1_inputs(config)
-    _head_config(config, problem)  # a bad stage-2 head fails before the solve
     return stage1.train_deterministic(problem, net_config, **settings)
 
 
@@ -208,24 +207,18 @@ def stage1_digest(config: ExperimentConfig) -> str:
     return hashlib.sha256(json.dumps(key, sort_keys=True).encode()).hexdigest()
 
 
-def _head_config(config: ExperimentConfig, problem) -> nets.MLPConfig:
-    """The network of the stage-two fit: four channels per output for der."""
-    resolved = config.resolved()
-    return nets.MLPConfig(
-        input_dim=problem.input_dim,
-        output_dim=(4 if config.method == "der" else 1) * problem.n_outputs,
-        hidden_sizes=tuple(resolved["stage2_hidden_sizes"]),
-        activation=resolved["stage2_activation"],
-        seed=derive_seed(config.seed, "stage2_init"),
-    )
-
-
 def run_method(config: ExperimentConfig, result: stage1.Stage1Result) -> PredictiveBand:
     """Fit the configured stage-two method on the stage-1 dataset and return
     the enforced band on the extrapolation evaluation grid. Every method
     fits the head A + B * net on the dataset (X, Y), from one start vector."""
     problem = result.problem
-    head_config = _head_config(config, problem)
+    head_config = nets.MLPConfig(  # four channels per output for der
+        input_dim=problem.input_dim,
+        output_dim=(4 if config.method == "der" else 1) * problem.n_outputs,
+        hidden_sizes=config.stage2_hidden_sizes,
+        activation=config.stage2_activation,
+        seed=derive_seed(config.seed, "stage2_init"),
+    )
     X, Y = result.dataset_points, result.dataset_values
     if not (X.ndim == Y.ndim == 2 and 0 < len(X) == len(Y)
             and np.isfinite(X).all() and np.isfinite(Y).all()):
@@ -235,10 +228,9 @@ def run_method(config: ExperimentConfig, result: stage1.Stage1Result) -> Predict
     # uncertainty survives wherever the data cannot constrain it
     x0 = (nets.rbf_feature_init(head_config, problem.extrap_domain)
           if head_config.activation == "rbf" else nets.init(head_config)).flat()
-    resolved = config.resolved()
-    grid = problems.grid_points(problem.extrap_domain, resolved["eval_grid"])
+    grid = problems.grid_points(problem.extrap_domain, config.eval_grid)
     data = (X, Y, A, B, head_config, x0)
-    budget = dict(epochs=resolved["epochs_stage2"], lr=config.lr_stage2)
+    budget = dict(epochs=config.epochs_stage2, lr=config.lr_stage2)
 
     if config.method in ("bbb", "flipout"):
         train = bbb_train if config.method == "bbb" else flipout_train
@@ -257,15 +249,20 @@ def run_method(config: ExperimentConfig, result: stage1.Stage1Result) -> Predict
     return enforce_predictive(raw, problem.transform)
 
 
-def output_root(config: ExperimentConfig) -> Path:
-    root = os.environ.get(OUTPUT_ROOT_ENV)
-    base = Path(root) if root else Path(".")
-    return base / config.output_dir
+def score(config: ExperimentConfig, result: stage1.Stage1Result
+          ) -> tuple[PredictiveBand, np.ndarray, np.ndarray, metrics.BandReport]:
+    """Fit the configured method on `result` and score its band: the band,
+    the reference on its grid, the in-train mask and the report."""
+    band = run_method(config, result)
+    reference = problems.reference_solution(result.problem, band.grid)
+    inside = metrics.in_train_mask(band.grid, result.problem.train_domain)
+    return band, reference, inside, metrics.band_report(band, reference, inside,
+                                                        config.coverage_k)
 
 
 def stage1_path(config: ExperimentConfig) -> Path:
     """Where `run` and `deuq solve` keep the stage-1 solve of `config`."""
-    return output_root(config) / f"stage1_{config.preset}_seed{config.seed}.json"
+    return Path(config.output_dir) / f"stage1_{config.preset}_seed{config.seed}.json"
 
 
 def save_stage1(config: ExperimentConfig, result: stage1.Stage1Result) -> Path:
@@ -305,14 +302,9 @@ def run_uq(config: ExperimentConfig, result: stage1.Stage1Result,
            stage1_json: Path) -> RunArtifacts:
     """Everything after stage 1: fit the method on `result` (read from
     `stage1_json`), then write the band CSV, the report and the config echo."""
-    problem = result.problem
-    _head_config(config, problem)  # a bad stage-2 head fails before the directory is made
-    out_dir = output_root(config)
+    band, reference, inside, report = score(config, result)
+    out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    band = run_method(config, result)
-    reference = problems.reference_solution(problem, band.grid)
-    inside = metrics.in_train_mask(band.grid, problem.train_domain)
-    report = metrics.band_report(band, reference, inside, config.coverage_k)
 
     run_tag = f"{config.preset}_{config.method}_seed{config.seed}"
     paths = RunArtifacts(

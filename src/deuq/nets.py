@@ -44,7 +44,7 @@ class MLPConfig:
             raise ConfigError("hidden_sizes must contain 1 to 3 layers")
         if any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("hidden layer widths must be positive")
-        if self.activation not in _ACTIVATIONS:
+        if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
     def layer_shapes(self) -> list[tuple[int, int]]:
@@ -206,7 +206,7 @@ def _rbf_derivatives(z, h, d1=None, d2=None, d3=None):
 # activation value and its first three derivatives, written into buffers
 # (h may be z itself when no derivative is asked for); a derivative left
 # None is skipped, and so is every higher one
-_ACTIVATIONS = {
+ACTIVATIONS = {
     "tanh": _tanh_derivatives,
     "sin": _sin_derivatives,
     "softplus": _softplus_derivatives,
@@ -294,7 +294,7 @@ class JetKernel:
         self._x = np.zeros((S, n, config.input_dim), dtype)
         self._x[0] = points
         self._x[1 : 1 + m] = seeds[self._perm][:, None, :]
-        self._act = _ACTIVATIONS[config.activation]
+        self._act = ACTIVATIONS[config.activation]
         widths = config.hidden_sizes
         self._z = [np.empty((S, n, w), dtype) for w in widths]  # pre-activation streams
         self._h = [np.empty((S, n, w), dtype) for w in widths]  # post-activation streams
@@ -440,7 +440,7 @@ def hidden(params: MLPParams, points: np.ndarray) -> np.ndarray:
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != params.config.input_dim:
         raise StructuralError("point dimension does not match input_dim")
-    act = _ACTIVATIONS[params.config.activation]
+    act = ACTIVATIONS[params.config.activation]
     h = points
     for W, b in zip(params.weights[:-1], params.biases[:-1]):
         h = h @ W.T + b

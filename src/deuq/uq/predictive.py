@@ -65,7 +65,7 @@ def posterior_predictive_mc(q: VariationalParams, net_config: nets.MLPConfig,
     sigma = q.sigma
     n, shapes = grid.shape[0], net_config.layer_shapes()
     chunk = max(1, min(n_samples, 2**16 // (n * max(o for o, _ in shapes))))
-    act = nets._ACTIVATIONS[net_config.activation]
+    act = nets.ACTIVATIONS[net_config.activation]
     noise = np.empty((chunk, q.mu.size))
     layers = [np.empty((chunk, n, o)) for o, _ in shapes]
     mean = np.zeros((n, net_config.output_dim))

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from deuq import experiment, metrics, nets, problems, stage1
+from deuq import experiment, nets, problems, stage1
 from oracles import Var, identity_head_args
 from deuq.uq.der import EvidentialOutput, der_predictive
 from deuq.uq.nlm import nlm_fit
@@ -48,13 +48,7 @@ class _Runs:
         key = (preset, method, seed)
         if key not in self._bands:
             config = experiment.ExperimentConfig(preset=preset, method=method, seed=seed)
-            result = self.stage1(preset, seed)
-            band = experiment.run_method(config, result)
-            problem = result.problem
-            reference = problems.reference_solution(problem, band.grid)
-            report = metrics.band_report(
-                band, reference, metrics.in_train_mask(band.grid, problem.train_domain)
-            )
+            band, _, _, report = experiment.score(config, self.stage1(preset, seed))
             self._bands[key] = (band, report)
         return self._bands[key]
 

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import typing
@@ -114,6 +115,29 @@ def test_config_echo_reports_every_effective_parameter(tmp_path):
 
 def _inside(band, train_domain=((0.0, 2.0),)):
     return metrics.in_train_mask(band.grid, train_domain)
+
+
+def test_config_fills_its_defaults_when_built():
+    written_out = experiment.ExperimentConfig(
+        preset="burgers", method="der", hidden_sizes=(32, 32), n_collocation=32,
+        epochs_stage1=8000, lr_stage1=2e-3, dataset_grid=48, eval_grid=37,
+        epochs_stage2=3000, stage2_hidden_sizes=(32,))
+    assert experiment.ExperimentConfig(preset="burgers", method="der") == written_out
+
+
+def test_config_echo_fed_back_writes_the_same_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--preset", "linear_ode", "--method", "nlm", "--seed", "3",
+                 "--epochs-stage1", "30", "--epochs-stage2", "20", "--n-collocation", "8",
+                 "--dataset-grid", "9", "--eval-grid", "9", "--out", "first"]) == 0
+    first = {p.name: p.read_bytes() for p in (tmp_path / "first").iterdir()}
+    echo = json.loads(first["config_linear_ode_nlm_seed3.json"])
+    del echo["sub_seeds"]
+    (tmp_path / "echo.json").write_text(json.dumps(echo))
+    for name in first:
+        (tmp_path / "first" / name).unlink()
+    assert main(["run", "--config", "echo.json"]) == 0
+    assert {p.name: p.read_bytes() for p in (tmp_path / "first").iterdir()} == first
 
 
 def test_band_csv_schema_single_point(tmp_path):
@@ -343,12 +367,18 @@ def test_run_method_rejects_an_empty_ragged_or_nonfinite_dataset(tmp_path, point
     ("--dataset-grid", "1"),
     ("--sampler", "sobol"),
     ("--seed", "-1"),
+    ("--hidden-sizes", "0"),
+    ("--stage2-hidden-sizes", "0"),
+    ("--hidden-sizes", "8,8,8,8"),
+    ("--activation", "relu"),
+    ("--stage2-activation", "relu"),
 ])
 @pytest.mark.parametrize("command", ["run", "solve", "uq"])
 def test_cli_run_rejects_nan_settings_and_negative_stage1_epochs(tmp_path, capsys, command,
                                                                  flag, value):
     # NaN fails every comparison, so each rule must ask for the good case;
-    # the message names the field the user set
+    # the message names the field the user set, as a whole word, so that
+    # `activation` is not found in a message on `stage2_activation`
     out = tmp_path / "out"
     common = ["--preset", "linear_ode", "--method", "nlm", "--epochs-stage1", "300",
               "--epochs-stage2", "200", "--n-collocation", "16"]
@@ -358,7 +388,7 @@ def test_cli_run_rejects_nan_settings_and_negative_stage1_epochs(tmp_path, capsy
         stage1_file = ["--stage1", str(tmp_path / "solved" / "stage1_linear_ode_seed0.json")]
     assert main([command, *stage1_file, *common, "--out", str(out), flag, value]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and flag[2:].replace("-", "_") in err
+    assert "error:" in err and re.search(rf"\b{flag[2:].replace('-', '_')}\b", err)
     assert not out.exists()
 
 
@@ -425,7 +455,7 @@ WRONG_SETTINGS = [(f.name, v) for f in CONFIG_FIELDS for v in WRONG_VALUES[_fiel
                          ids=[f"{k}={v!r}" for k, v in WRONG_SETTINGS])
 def test_cli_rejects_a_config_value_of_the_wrong_type_for_every_field(
         tmp_path, capsys, monkeypatch, key, value):
-    monkeypatch.setenv(experiment.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+    monkeypatch.chdir(tmp_path)
     config_file = tmp_path / "run.json"
     config_file.write_text(json.dumps({key: value}))
     assert main(["run", "--config", str(config_file)]) == 2
@@ -435,7 +465,7 @@ def test_cli_rejects_a_config_value_of_the_wrong_type_for_every_field(
 
 @pytest.mark.parametrize("content", ["[1, 2]", '"x"', "3", '[["preset", "duffing"]]'])
 def test_cli_rejects_a_config_file_that_is_not_an_object(tmp_path, capsys, monkeypatch, content):
-    monkeypatch.setenv(experiment.OUTPUT_ROOT_ENV, str(tmp_path / "root"))
+    monkeypatch.chdir(tmp_path)
     config_file = tmp_path / "run.json"
     config_file.write_text(content)
     assert main(["run", "--config", str(config_file)]) == 2
@@ -444,8 +474,8 @@ def test_cli_rejects_a_config_file_that_is_not_an_object(tmp_path, capsys, monke
 
 
 def test_explicit_zero_settings_are_taken_as_given(tmp_path):
-    resolved = _cfg(tmp_path, epochs_stage1=0, epochs_stage2=0).resolved()
-    assert resolved["epochs_stage1"] == 0 and resolved["epochs_stage2"] == 0
+    config = _cfg(tmp_path, epochs_stage1=0, epochs_stage2=0)
+    assert config.epochs_stage1 == 0 and config.epochs_stage2 == 0
     with pytest.raises(ConfigError):
         experiment.ExperimentConfig(eval_grid=0)
     for field, value in (("lr_stage1", 0), ("dataset_grid", 1)):
@@ -461,12 +491,6 @@ def test_cli_report_rejects_nonpositive_coverage_k(tmp_path, capsys, k):
     experiment.emit_band_csv(band, np.ones((7, 1)), _inside(band), path)
     assert main(["report", "--band", str(path), "--coverage-k", k]) == 2
     assert "coverage width k" in capsys.readouterr().err
-
-
-def test_output_root_env_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv(experiment.OUTPUT_ROOT_ENV, str(tmp_path))
-    cfg = experiment.ExperimentConfig(output_dir="nested")
-    assert experiment.output_root(cfg) == tmp_path / "nested"
 
 
 def test_console_script_entry_point():
