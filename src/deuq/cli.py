@@ -9,8 +9,8 @@ made from the field's name and type: ``--n-collocation`` for
 field, and ``--out`` for ``output_dir``. Settings may also come from a JSON
 config file holding an object of field names; flag and file values pass
 the same check of the field's type, and flags override file values, which
-override built-in defaults. Exit codes: 0 success, 1 numerical failure,
-2 configuration error or an unreadable input file.
+override built-in defaults. Exit codes: 0 success, 1 numerical failure or
+unwritable artifact, 2 configuration error or an unreadable input file.
 """
 
 from __future__ import annotations
@@ -170,7 +170,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (DeuqError, FileNotFoundError) as e:
+    except (DeuqError, OSError) as e:  # a numerical failure, or an artifact not written
         print(f"error: {e}", file=sys.stderr)
         return 1
 

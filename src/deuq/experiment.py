@@ -129,14 +129,8 @@ class ExperimentConfig:
                 value = getattr(self, name)
                 if not good(value):
                     raise ConfigError(f"{name} must {rule}")
-        for sizes, activation in (("hidden_sizes", "activation"),
-                                  ("stage2_hidden_sizes", "stage2_activation")):
-            widths = getattr(self, sizes)
-            if not (1 <= len(widths) <= 3 and all(w >= 1 for w in widths)):
-                raise ConfigError(f"{sizes} must be 1 to 3 positive widths, got {list(widths)}")
-            if getattr(self, activation) not in nets.ACTIVATIONS:
-                raise ConfigError(f"{activation} must be one of {', '.join(nets.ACTIVATIONS)}, "
-                                  f"got {getattr(self, activation)!r}")
+        nets.check_layers(self.hidden_sizes, self.activation)
+        nets.check_layers(self.stage2_hidden_sizes, self.stage2_activation, "stage2_")
 
     def resolved(self) -> dict:
         """The config echo: every field, with the derived sub-seeds."""
@@ -266,25 +260,31 @@ def stage1_path(config: ExperimentConfig) -> Path:
 
 
 def save_stage1(config: ExperimentConfig, result: stage1.Stage1Result) -> Path:
-    """Write the stage-1 file of `config`, with the overrides that rebuild
-    its problem and the settings digest that lets `run` reuse it."""
+    """Write the stage-1 file of `config`: the weights and the loss history
+    of `result`, with the settings digest that lets `run` reuse them."""
     path = stage1_path(config)
     path.parent.mkdir(parents=True, exist_ok=True)
-    stage1.save_result(result, path, _problem_overrides(config), stage1_digest(config))
+    stage1.save_result(result, path, stage1_digest(config))
     return path
 
 
 def load_stage1(config: ExperimentConfig, path) -> stage1.Stage1Result | None:
     """The stage-1 result in `path` if it is the solve of `config`: the file
-    reads, and its settings digest equals the config's. None otherwise."""
+    reads, its settings digest equals the config's and its weights fit the
+    config's network. The problem, the network and the dataset are rebuilt
+    from the config. None otherwise."""
     if not Path(path).is_file():
         return None
+    problem, net_config, settings = _stage1_inputs(config)
     try:
-        result = stage1.load_result(path)
-    except (OSError, ValueError, LookupError, TypeError, AttributeError):
+        flat, history, digest = stage1.load_result(path)
+        params = nets.MLPParams.from_flat(net_config, flat)  # StructuralError on a wrong size
+    except (OSError, ValueError, LookupError, TypeError):
         return None
-    # the config's own problem, so that the digest also checks the preset name
-    return result if result.settings_digest == stage1_digest(config) else None
+    if digest != stage1_digest(config):
+        return None
+    return stage1.Stage1Result(problem, params, history,
+                               *stage1.enforced_dataset(problem, params, settings["dataset_grid"]))
 
 
 def run(config: ExperimentConfig) -> RunArtifacts:

@@ -40,12 +40,7 @@ class MLPConfig:
             raise ConfigError("input_dim must be 1 or 2")
         if self.output_dim < 1:
             raise ConfigError("output_dim must be positive")
-        if not 1 <= len(self.hidden_sizes) <= 3:
-            raise ConfigError("hidden_sizes must contain 1 to 3 layers")
-        if any(h < 1 for h in self.hidden_sizes):
-            raise ConfigError("hidden layer widths must be positive")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"unknown activation {self.activation!r}")
+        check_layers(self.hidden_sizes, self.activation)
 
     def layer_shapes(self) -> list[tuple[int, int]]:
         dims = [self.input_dim, *self.hidden_sizes, self.output_dim]
@@ -54,6 +49,17 @@ class MLPConfig:
     @property
     def n_params(self) -> int:
         return sum(o * i + o for o, i in self.layer_shapes())
+
+
+def check_layers(hidden_sizes, activation, prefix: str = "") -> None:
+    """A network's hidden layers: 1 to 3 positive widths and an activation in
+    ``ACTIVATIONS``. The ConfigError names the field, after `prefix`."""
+    if not (1 <= len(hidden_sizes) <= 3 and all(w >= 1 for w in hidden_sizes)):
+        raise ConfigError(f"{prefix}hidden_sizes must be 1 to 3 positive widths, "
+                          f"got {list(hidden_sizes)}")
+    if activation not in ACTIVATIONS:
+        raise ConfigError(f"{prefix}activation must be one of {', '.join(ACTIVATIONS)}, "
+                          f"got {activation!r}")
 
 
 @dataclass

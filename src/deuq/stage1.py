@@ -13,7 +13,6 @@ The kernel runs in float32 and everything around it in float64.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +34,6 @@ class Stage1Result:
     loss_history: list  # (epoch, mean squared residual)
     dataset_points: np.ndarray  # (n, input_dim)
     dataset_values: np.ndarray  # (n, n_outputs), enforced solution values
-    settings_digest: str | None = None  # of the settings that produced it
 
 
 def _jitter(domain, n, rng):
@@ -150,9 +148,17 @@ def train_deterministic(problem: problems.ProblemSpec, net_config: nets.MLPConfi
         params=lambda x: nets.MLPParams.from_flat(net_config, x),
     )
     final = nets.MLPParams.from_flat(net_config, flat)
+    return Stage1Result(problem, final, history, *enforced_dataset(problem, final, dataset_grid))
+
+
+def enforced_dataset(problem: problems.ProblemSpec, params: nets.MLPParams,
+                     dataset_grid: int) -> tuple[np.ndarray, np.ndarray]:
+    """The dataset of a solve that ended at `params`: the grid of
+    dataset_grid points per dimension of the training domain, and the
+    enforced solution on it. A solve and a reused stage-1 file both get
+    their dataset here, so the two are equal bit for bit."""
     grid = problems.grid_points(problem.train_domain, dataset_grid)
-    values = evaluate_enforced(problem, final, grid)
-    return Stage1Result(problem, final, history, grid, values)
+    return grid, evaluate_enforced(problem, params, grid)
 
 
 def evaluate_enforced(problem: problems.ProblemSpec, params: nets.MLPParams,
@@ -173,42 +179,28 @@ def atomic_write(path, text: str) -> None:
     tmp.replace(path)
 
 
-def save_result(result: Stage1Result, path, problem_overrides: dict | None = None,
-                settings_digest: str | None = None) -> None:
-    """JSON handoff file: {net_config, flat_params, loss_history, dataset}.
+def save_result(result: Stage1Result, path, settings_digest: str) -> None:
+    """JSON stage-1 file: {flat_params, loss_history, settings_digest}.
 
-    The problem is recorded by preset name plus the overrides used to build
-    it, which is enough to reconstruct every preset. ``settings_digest``
-    identifies the settings of the solve, for cache reuse.
+    Only what the solve produced is kept. ``settings_digest`` identifies the
+    settings of the solve; the problem, the network and the dataset are
+    rebuilt from those settings when the file is reused.
     """
     payload = {
-        "net_config": dataclasses.asdict(result.params.config),
         "flat_params": result.params.flat().tolist(),
         "loss_history": [[int(e), float(l)] for e, l in result.loss_history],
-        "dataset": {
-            "points": result.dataset_points.tolist(),
-            "values": result.dataset_values.tolist(),
-        },
-        "problem": {
-            "name": result.problem.name,
-            "overrides": problem_overrides or {},
-        },
         "settings_digest": settings_digest,
     }
     atomic_write(path, json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
-def load_result(path) -> Stage1Result:
+def load_result(path) -> tuple[np.ndarray, list, str]:
+    """The weight vector, the loss history and the settings digest of a
+    stage-1 file; other keys are ignored. ValueError if the weights are not
+    a finite vector or the history is empty."""
     payload = json.loads(Path(path).read_text())
-    cfg = nets.MLPConfig(**payload["net_config"])
-    problem = problems.make_preset(
-        payload["problem"]["name"], **payload["problem"]["overrides"]
-    )
-    return Stage1Result(
-        problem=problem,
-        params=nets.MLPParams.from_flat(cfg, np.array(payload["flat_params"])),
-        loss_history=[(int(e), float(l)) for e, l in payload["loss_history"]],
-        dataset_points=np.array(payload["dataset"]["points"], dtype=float),
-        dataset_values=np.array(payload["dataset"]["values"], dtype=float),
-        settings_digest=payload.get("settings_digest"),
-    )
+    flat = np.array(payload["flat_params"], dtype=float)
+    history = [(int(e), float(l)) for e, l in payload["loss_history"]]
+    if flat.ndim != 1 or not np.isfinite(flat).all() or not history:
+        raise ValueError(f"{path} holds no finite weight vector and loss history")
+    return flat, history, payload["settings_digest"]

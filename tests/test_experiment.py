@@ -96,8 +96,8 @@ def test_stage1_cache_needs_exact_settings(tmp_path, monkeypatch, field, value):
     assert len(solves) == 1  # same stage-1 settings, other method: reused
     paths = experiment.run(_cfg(tmp_path, **{**TINY_LV, field: value}))
     assert len(solves) == 2
-    cached = experiment.stage1.load_result(paths.stage1_json)
-    assert cached.settings_digest == experiment.stage1_digest(solves[-1])
+    _, _, digest = experiment.stage1.load_result(paths.stage1_json)
+    assert digest == experiment.stage1_digest(solves[-1])
 
 
 def test_config_echo_reports_every_effective_parameter(tmp_path):
@@ -533,17 +533,46 @@ def test_cli_rejects_a_malformed_width_list(tmp_path, capsys, key, form):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", ['{"trunc', '{"net_config": {}}', "[]"])
+def _truncated_weights(payload: dict) -> str:
+    return json.dumps({**payload, "flat_params": payload["flat_params"][:-1]})
+
+
+def _one_nan_weight(payload: dict) -> str:
+    return json.dumps({**payload, "flat_params": [float("nan"), *payload["flat_params"][1:]]})
+
+
+# a callable content damages the weights of a file that has the config's digest
+@pytest.mark.parametrize("content", ['{"trunc', '{"net_config": {}}', "[]",
+                                     _truncated_weights, _one_nan_weight])
 def test_run_solves_again_over_an_unreadable_stage1_file(tmp_path, monkeypatch, content):
     solves = _counting_stage1(monkeypatch)
     clean = experiment.run(_cfg(tmp_path / "clean", **TINY_LV)).stage1_json.read_bytes()
     config = _cfg(tmp_path / "bad", **TINY_LV)
     path = experiment.stage1_path(config)
     path.parent.mkdir(parents=True)
-    path.write_text(content)
+    path.write_text(content(json.loads(clean)) if callable(content) else content)
     experiment.run(config)
     assert len(solves) == 2
     assert path.read_bytes() == clean
+
+
+def test_run_reuses_a_stage1_file_of_the_older_layout(tmp_path, monkeypatch):
+    # files written before the stage-1 file kept only its three keys also hold
+    # the network, the problem and the dataset, under the same digest
+    fresh = experiment.run(_cfg(tmp_path / "fresh", **TINY_LV)).band_csv.read_bytes()
+    config = _cfg(tmp_path / "older", **TINY_LV)
+    result = experiment.run_stage1(config)
+    path = experiment.save_stage1(config, result)
+    path.write_text(json.dumps({
+        **json.loads(path.read_text()),
+        "net_config": dataclasses.asdict(result.params.config),
+        "dataset": {"points": result.dataset_points.tolist(),
+                    "values": result.dataset_values.tolist()},
+        "problem": {"name": "lotka_volterra", "overrides": {"lv_standard_form": False}},
+    }, sort_keys=True, allow_nan=False))
+    solves = _counting_stage1(monkeypatch)
+    assert experiment.run(config).band_csv.read_bytes() == fresh
+    assert solves == []
 
 
 def test_run_without_stage1_reuse_solves_again(tmp_path, monkeypatch, capsys):
@@ -559,9 +588,14 @@ def test_run_without_stage1_reuse_solves_again(tmp_path, monkeypatch, capsys):
     assert stage1_file.read_bytes() == first
 
 
-@pytest.mark.parametrize("content", [None, '{"trunc', '{"net_config": {}}'])
+@pytest.mark.parametrize("content", [None, '{"trunc', '{"net_config": {}}',
+                                     _truncated_weights, _one_nan_weight])
 def test_cli_uq_rejects_an_unreadable_stage1_file(tmp_path, capsys, content):
     stage1_file = tmp_path / "stage1.json"
+    if callable(content):
+        config = _cfg(tmp_path / "solved", **TINY_LV)
+        clean = experiment.save_stage1(config, experiment.run_stage1(config)).read_text()
+        content = content(json.loads(clean))
     if content is not None:
         stage1_file.write_text(content)
     out = tmp_path / "out"
@@ -569,6 +603,14 @@ def test_cli_uq_rejects_an_unreadable_stage1_file(tmp_path, capsys, content):
     err = capsys.readouterr().err
     assert "stage-1 settings" in err and str(stage1_file) in err
     assert not out.exists()
+
+
+def test_cli_run_exits_1_when_an_artifact_cannot_be_written(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")  # --out names a file, so no artifact directory can be made
+    assert main(["run", *TINY_LV_FLAGS, "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(taken) in err
 
 
 def test_cli_uq_rejects_a_stage1_file_of_another_preset(tmp_path, capsys):

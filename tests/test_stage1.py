@@ -1,7 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
-from deuq import nets, problems, stage1
+from deuq import experiment, nets, problems, stage1
 from deuq.errors import ConfigError
 from oracles import emit_dataset
 
@@ -99,14 +101,20 @@ def test_linear_ode_dataset_stays_in_solution_range(quick_linear_result):
     assert np.all(values >= 0.0 - 1e-2)
 
 
-def test_stage1_roundtrip(tmp_path, quick_linear_result):
-    path = tmp_path / "stage1.json"
-    stage1.save_result(quick_linear_result, path)
-    loaded = stage1.load_result(path)
-    assert loaded.problem.name == "linear_ode"
-    assert loaded.loss_history == quick_linear_result.loss_history
-    np.testing.assert_array_equal(loaded.params.flat(), quick_linear_result.params.flat())
-    np.testing.assert_array_equal(loaded.dataset_points, quick_linear_result.dataset_points)
+@pytest.mark.parametrize("preset", problems.preset_names())
+def test_stage1_roundtrip(tmp_path, preset):
+    config = experiment.ExperimentConfig(preset=preset, epochs_stage1=3, output_dir=str(tmp_path))
+    solved = experiment.run_stage1(config)
+    path = experiment.save_stage1(config, solved)
+    assert json.loads(path.read_text()).keys() == {"flat_params", "loss_history",
+                                                   "settings_digest"}
+    loaded = experiment.load_stage1(config, path)
+    assert loaded.problem.name == preset
+    assert loaded.loss_history == solved.loss_history
+    for got, want in ((loaded.params.flat(), solved.params.flat()),
+                      (loaded.dataset_points, solved.dataset_points),
+                      (loaded.dataset_values, solved.dataset_values)):
+        assert np.array_equal(got, want)
 
 
 def test_config_mismatch_rejected():
