@@ -3,12 +3,12 @@ reference-solution oracles.
 
 Four presets are provided: ``linear_ode`` (first-order linear decay),
 ``duffing`` (nonlinear oscillator), ``lotka_volterra`` (two-species system),
-and ``burgers`` (viscous nonlinear PDE). Each preset bundles a residual
-operator over jet evaluations, a transform ``u ~> A + B * u`` that makes the
-initial/boundary conditions hold by construction (B vanishes at condition
-locations), and an independent reference solution for error reporting:
-exact for ``linear_ode`` and, through the Cole-Hopf transform, for
-``burgers``; RK4 for the other two.
+and ``burgers`` (viscous nonlinear PDE). Each preset function builds, as
+closures over its own arguments, a residual operator over jet evaluations
+and an independent reference solution for error reporting: exact for
+``linear_ode`` and, through the Cole-Hopf transform, for ``burgers``; RK4
+for the other two. Its transform ``u ~> A + B * u`` makes the conditions
+hold by construction (B vanishes at condition locations).
 """
 
 from __future__ import annotations
@@ -55,14 +55,18 @@ class Transform:
 
 @dataclass(frozen=True)
 class ProblemSpec:
+    """One equation as its preset function built it: ``residual_fn(u, point)``
+    gives one residual per output, ``reference_fn(grid)`` the (n, n_outputs)
+    reference values (call them through ``residual`` and ``reference_solution``)."""
+
     name: str
     n_outputs: int
-    coefficients: dict
     train_domain: tuple[Interval, ...]
     extrap_domain: tuple[Interval, ...]
     conditions: tuple[Condition, ...]
     transform: Transform
     residual_fn: Callable = field(repr=False)
+    reference_fn: Callable = field(repr=False)
     # highest derivative order the residual reads along each input
     derivative_orders: tuple[int, ...]
 
@@ -114,7 +118,7 @@ def residual(problem: ProblemSpec, u: Mapping[int, Sequence[Jet2]], point) -> li
                 f"{problem.name} residual needs derivatives along input {d}"
             )
         seen[d] = u[d] if order == 2 else [FirstOrder(j.value, j.d1) for j in u[d]]
-    return problem.residual_fn(problem.coefficients, seen, point)
+    return problem.residual_fn(seen, point)
 
 
 def transform_values(transform: Transform, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,12 +167,6 @@ def _ramp(t: Jet2, t0: float) -> Jet2:
     return 1.0 - exp(-(t - t0))
 
 
-def _linear_ode_residual(coeff, u, point):
-    j = u[0][0]
-    t = point[0]
-    return [j.d1 + 2.0 * t * j.value]
-
-
 def linear_ode(u0: float = 1.0,
                train_domain: Interval = (0.0, 2.0),
                extrap_domain: Interval = (0.0, 3.0)) -> ProblemSpec:
@@ -178,22 +176,25 @@ def linear_ode(u0: float = 1.0,
         A=lambda jets: [u0],
         B=lambda jets: [_ramp(jets[0], t0)],
     )
+
+    def residual_fn(u, point):
+        j = u[0][0]
+        return [j.d1 + 2.0 * point[0] * j.value]
+
+    def reference_fn(grid):
+        return (u0 * np.exp(t0**2 - grid[:, 0]**2)).reshape(-1, 1)
+
     return ProblemSpec(
         name="linear_ode",
         n_outputs=1,
-        coefficients={"u0": u0},
         train_domain=(train_domain,),
         extrap_domain=(extrap_domain,),
         conditions=(Condition("initial_value", (t0,), u0),),
         transform=transform,
-        residual_fn=_linear_ode_residual,
+        residual_fn=residual_fn,
+        reference_fn=reference_fn,
         derivative_orders=(1,),
     )
-
-
-def _duffing_residual(coeff, u, point):
-    j = u[0][0]
-    return [j.d2 + coeff["omega"] ** 2 * j.value + coeff["eps_nl"] * j.value**3]
 
 
 def duffing(omega: float = 1.0, eps_nl: float = 0.1,
@@ -210,10 +211,17 @@ def duffing(omega: float = 1.0, eps_nl: float = 0.1,
         A=lambda jets: [u0 + du0 * _ramp(jets[0], t0)],
         B=lambda jets: [_ramp(jets[0], t0) ** 2],
     )
+
+    def residual_fn(u, point):
+        j = u[0][0]
+        return [j.d2 + omega ** 2 * j.value + eps_nl * j.value**3]
+
+    def f(t, y):
+        return (y[1], -(omega ** 2) * y[0] - eps_nl * y[0] ** 3)
+
     return ProblemSpec(
         name="duffing",
         n_outputs=1,
-        coefficients={"omega": omega, "eps_nl": eps_nl, "u0": u0, "du0": du0},
         train_domain=(train_domain,),
         extrap_domain=(extrap_domain,),
         conditions=(
@@ -221,20 +229,10 @@ def duffing(omega: float = 1.0, eps_nl: float = 0.1,
             Condition("initial_derivative", (t0,), du0),
         ),
         transform=transform,
-        residual_fn=_duffing_residual,
+        residual_fn=residual_fn,
+        reference_fn=_rk4_reference(("duffing", omega, eps_nl, u0, du0), f, t0, (u0, du0), 1),
         derivative_orders=(2,),
     )
-
-
-def _lv_residual(coeff, u, point):
-    ju, jv = u[0]
-    uu, vv = ju.value, jv.value
-    r1 = ju.d1 - coeff["lv_alpha"] * uu + coeff["lv_beta"] * uu * vv
-    if coeff["lv_standard_form"]:
-        r2 = jv.d1 + coeff["lv_gamma"] * vv - coeff["lv_delta"] * uu * vv
-    else:
-        r2 = jv.d1 + coeff["lv_delta"] * uu - coeff["lv_gamma"] * uu * vv
-    return [r1, r2]
 
 
 def lotka_volterra(lv_alpha: float = 1.0, lv_beta: float = 1.0,
@@ -253,15 +251,27 @@ def lotka_volterra(lv_alpha: float = 1.0, lv_beta: float = 1.0,
         A=lambda jets: [u0[0], u0[1]],
         B=lambda jets: [_ramp(jets[0], t0), _ramp(jets[0], t0)],
     )
+
+    def residual_fn(u, point):
+        ju, jv = u[0]
+        uu, vv = ju.value, jv.value
+        r1 = ju.d1 - lv_alpha * uu + lv_beta * uu * vv
+        if lv_standard_form:
+            r2 = jv.d1 + lv_gamma * vv - lv_delta * uu * vv
+        else:
+            r2 = jv.d1 + lv_delta * uu - lv_gamma * uu * vv
+        return [r1, r2]
+
+    def f(t, y):
+        u, v = y
+        dv = (lv_delta * u * v - lv_gamma * v if lv_standard_form
+              else -lv_delta * u + lv_gamma * u * v)
+        return (lv_alpha * u - lv_beta * u * v, dv)
+
+    key = ("lotka_volterra", lv_alpha, lv_beta, lv_delta, lv_gamma, *u0, lv_standard_form)
     return ProblemSpec(
         name="lotka_volterra",
         n_outputs=2,
-        coefficients={
-            "lv_alpha": lv_alpha, "lv_beta": lv_beta,
-            "lv_delta": lv_delta, "lv_gamma": lv_gamma,
-            "u0": u0[0], "v0": u0[1],
-            "lv_standard_form": bool(lv_standard_form),
-        },
         train_domain=(train_domain,),
         extrap_domain=(extrap_domain,),
         conditions=(
@@ -269,17 +279,10 @@ def lotka_volterra(lv_alpha: float = 1.0, lv_beta: float = 1.0,
             Condition("initial_value", (t0,), u0[1], output=1),
         ),
         transform=transform,
-        residual_fn=_lv_residual,
+        residual_fn=residual_fn,
+        reference_fn=_rk4_reference(key, f, t0, u0, 2),
         derivative_orders=(1,),
     )
-
-
-def _burgers_residual(coeff, u, point):
-    # coordinate order is (x, t): direction 0 carries u_x and u_xx,
-    # direction 1 carries u_t
-    jx = u[0][0]
-    jt = u[1][0]
-    return [jt.d1 + jx.value * jx.d1 - coeff["visc"] * jx.d2]
 
 
 def burgers(visc: float = 0.1,
@@ -310,10 +313,20 @@ def burgers(visc: float = 0.1,
             * (1.0 - exp(-(xr - jets[0])))
         ],
     )
+
+    def residual_fn(u, point):
+        # coordinate order is (x, t): direction 0 carries u_x and u_xx,
+        # direction 1 carries u_t
+        jx = u[0][0]
+        jt = u[1][0]
+        return [jt.d1 + jx.value * jx.d1 - visc * jx.d2]
+
+    def reference_fn(grid):
+        return _cole_hopf_burgers(visc, grid[:, 0], grid[:, 1]).reshape(-1, 1)
+
     return ProblemSpec(
         name="burgers",
         n_outputs=1,
-        coefficients={"visc": visc},
         train_domain=(x_domain, t_train),
         extrap_domain=(x_domain, t_extrap),
         conditions=(
@@ -322,7 +335,8 @@ def burgers(visc: float = 0.1,
             Condition("dirichlet_bc", (xr, None), 0.0),
         ),
         transform=transform,
-        residual_fn=_burgers_residual,
+        residual_fn=residual_fn,
+        reference_fn=reference_fn,
         derivative_orders=(2, 1),
     )
 
@@ -386,8 +400,10 @@ def rk4_path(f: Callable, t0: float, y0: Sequence[float], ts: np.ndarray, max_st
     return out
 
 
-# Each ODE's RK4 path, memoized per process by preset, coefficients, start
-# time, step and sorted grid times.
+RK4_STEP = 1e-3
+
+# Each ODE's RK4 path, memoized per process by preset, its arguments, start
+# time and sorted grid times.
 _reference_memo: dict = {}
 
 
@@ -397,6 +413,22 @@ def _memoized(key: tuple, solve: Callable):
     if key not in _reference_memo:
         _reference_memo[key] = solve()
     return _reference_memo[key]
+
+
+def _rk4_reference(key: tuple, f: Callable, t0: float, y0: Sequence[float],
+                   n_outputs: int) -> Callable:
+    """An ODE preset's reference: the memoized RK4 path of y' = f(t, y) from
+    y0 at t0 through the sorted grid times, its first n_outputs components
+    put back in grid order. ``key`` is the preset name and its arguments."""
+    def reference_fn(grid):
+        order = np.argsort(grid[:, 0])
+        times = grid[order, 0]
+        path = _memoized(key + (t0, times.tobytes()),
+                         lambda: rk4_path(f, t0, y0, times, RK4_STEP))
+        out = np.empty((grid.shape[0], n_outputs))
+        out[order] = path[:, :n_outputs]
+        return out
+    return reference_fn
 
 
 def _scaled_bessel(z: float) -> np.ndarray:
@@ -440,51 +472,14 @@ def _cole_hopf_burgers(visc: float, x: np.ndarray, t: np.ndarray) -> np.ndarray:
     return 2.0 * math.pi * visc * ((decay * np.sin(kx)) @ (coef * k)) / phi
 
 
-def reference_solution(problem: ProblemSpec, grid: np.ndarray,
-                       rk4_step: float = 1e-3) -> np.ndarray:
-    """Reference values on (n, input_dim) grid points, one column per output,
-    as a fresh array.
-
-    linear_ode is analytic; duffing and lotka_volterra use RK4, with the
-    paths memoized per process; burgers evaluates the exact Cole-Hopf series
-    at the points (``_cole_hopf_burgers``).
-    """
+def reference_solution(problem: ProblemSpec, grid: np.ndarray) -> np.ndarray:
+    """Reference values on (n, input_dim) grid points inside extrap_domain,
+    one column per output, as a fresh array, from the preset's ``reference_fn``."""
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     for axis, (lo, hi) in enumerate(problem.extrap_domain):
         if np.any(grid[:, axis] < lo) or np.any(grid[:, axis] > hi):
             raise ConfigError("grid must lie inside extrap_domain")
-    c = problem.coefficients
-    coeff_key = tuple(sorted(c.items()))
-    if problem.name == "linear_ode":
-        t0 = problem.train_domain[0][0]
-        t = grid[:, 0]
-        return (c["u0"] * np.exp(t0**2 - t**2)).reshape(-1, 1)
-    if problem.name in ("duffing", "lotka_volterra"):
-        t0 = problem.train_domain[0][0]
-        if problem.name == "duffing":
-            y0 = (c["u0"], c["du0"])
-
-            def f(t, y):
-                return (y[1], -(c["omega"] ** 2) * y[0] - c["eps_nl"] * y[0] ** 3)
-        else:
-            y0 = (c["u0"], c["v0"])
-            a, b, d, g = c["lv_alpha"], c["lv_beta"], c["lv_delta"], c["lv_gamma"]
-
-            def f(t, y):
-                u, v = y
-                dv = d * u * v - g * v if c["lv_standard_form"] else -d * u + g * u * v
-                return (a * u - b * u * v, dv)
-
-        order = np.argsort(grid[:, 0])
-        times = grid[order, 0]
-        path = _memoized((problem.name, coeff_key, t0, rk4_step, times.tobytes()),
-                         lambda: rk4_path(f, t0, y0, times, rk4_step))
-        out = np.empty((grid.shape[0], problem.n_outputs))
-        out[order] = path[:, :problem.n_outputs]
-        return out
-    if problem.name == "burgers":
-        return _cole_hopf_burgers(c["visc"], grid[:, 0], grid[:, 1]).reshape(-1, 1)
-    raise ConfigError(f"no reference solver for {problem.name!r}")
+    return problem.reference_fn(grid)
 
 
 def grid_points(domain: Sequence[Interval], n_per_dim: int) -> np.ndarray:

@@ -63,6 +63,7 @@ The rest are checks the pipeline never runs:
 
 from __future__ import annotations
 
+import inspect
 import math
 from typing import Callable, Sequence
 
@@ -733,15 +734,18 @@ def rk4_path(f, t0: float, y0: np.ndarray, ts: np.ndarray, max_step: float) -> n
     return out
 
 
-def ode_reference(problem: problems.ProblemSpec, grid: np.ndarray,
-                  rk4_step: float = 1e-3) -> np.ndarray:
-    """`problems.reference_solution` for duffing and lotka_volterra, with
-    array-valued right-hand sides on the array RK4 above."""
-    c = problem.coefficients
-    if problem.name == "duffing":
+def ode_reference(name: str, overrides: dict, grid: np.ndarray, step: float) -> np.ndarray:
+    """`problems.reference_solution` for the duffing or lotka_volterra preset
+    made with `overrides`, with array-valued right-hand sides on the array
+    RK4 above at the given step. The coefficients are the preset function's
+    own signature defaults, with `overrides` bound over them."""
+    bound = inspect.signature(getattr(problems, name)).bind(**overrides)
+    bound.apply_defaults()
+    c = bound.arguments
+    if name == "duffing":
         def f(t, y):
             return np.array([y[1], -(c["omega"] ** 2) * y[0] - c["eps_nl"] * y[0] ** 3])
-        y0 = np.array([c["u0"], c["du0"]])
+        y0, n_outputs = np.array([c["u0"], c["du0"]]), 1
     else:
         a, b, d, g = c["lv_alpha"], c["lv_beta"], c["lv_delta"], c["lv_gamma"]
 
@@ -749,12 +753,12 @@ def ode_reference(problem: problems.ProblemSpec, grid: np.ndarray,
             u, v = y
             dv = d * u * v - g * v if c["lv_standard_form"] else -d * u + g * u * v
             return np.array([a * u - b * u * v, dv])
-        y0 = np.array([c["u0"], c["v0"]])
+        y0, n_outputs = np.array(c["u0"], dtype=float), 2
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     order = np.argsort(grid[:, 0])
-    path = rk4_path(f, problem.train_domain[0][0], y0, grid[order, 0], rk4_step)
-    out = np.empty((grid.shape[0], problem.n_outputs))
-    out[order] = path[:, :problem.n_outputs]
+    path = rk4_path(f, c["train_domain"][0], y0, grid[order, 0], step)
+    out = np.empty((grid.shape[0], n_outputs))
+    out[order] = path[:, :n_outputs]
     return out
 
 

@@ -120,11 +120,11 @@ def test_reference_duffing_harmonic_limit():
 
 
 def test_rk4_step_halving_converges():
+    # the fixed 1e-3 step against the array oracle at half that step
     p = problems.lotka_volterra()
     grid = np.linspace(0.0, 2.0, 41).reshape(-1, 1)
-    coarse = problems.reference_solution(p, grid, rk4_step=1e-3)
-    fine = problems.reference_solution(p, grid, rk4_step=5e-4)
-    assert np.max(np.abs(coarse - fine)) < 1e-6
+    fine = ode_reference("lotka_volterra", {}, grid, 5e-4)
+    assert np.max(np.abs(problems.reference_solution(p, grid) - fine)) < 1e-6
 
 
 def test_rk4_nonfinite_raises_oracle_error():
@@ -151,7 +151,7 @@ def test_rk4_reference_equals_the_array_oracle_bit_for_bit(name, overrides):
     p = problems.make_preset(name, **overrides)
     grid = problems.grid_points(p.extrap_domain, 37)[::-1]  # unsorted on purpose
     np.testing.assert_array_equal(problems.reference_solution(p, grid),
-                                  ode_reference(p, grid))
+                                  ode_reference(name, overrides, grid, 1e-3))
 
 
 @pytest.mark.parametrize("visc", [0.1, 0.05])
@@ -201,33 +201,35 @@ def test_reference_memo_integrates_a_repeated_ode_grid_once(integrations):
     again = problems.reference_solution(p, grid)
     shuffled = problems.reference_solution(p, grid[::-1])
     assert integrations["rk4"] == 1
-    np.testing.assert_array_equal(first, ode_reference(p, grid))
+    np.testing.assert_array_equal(first, ode_reference("duffing", {}, grid, 1e-3))
     np.testing.assert_array_equal(again, first)
     np.testing.assert_array_equal(shuffled, first[::-1])
 
 
-@pytest.mark.parametrize("change", ["grid", "rk4_step", "lv_standard_form"])
-def test_reference_memo_integrates_again_when_a_key_part_changes(integrations, change):
-    p = problems.make_preset("lotka_volterra")
-    grid = problems.grid_points(p.extrap_domain, 41)
-    step = 1e-3
-    problems.reference_solution(p, grid, rk4_step=step)
-    if change == "grid":
-        grid = problems.grid_points(p.extrap_domain, 43)
-    elif change == "rk4_step":
-        step = 5e-4
-    else:
-        p = problems.make_preset("lotka_volterra", lv_standard_form=True)
-    out = problems.reference_solution(p, grid, rk4_step=step)
+@pytest.mark.parametrize("name,overrides,n_points", [
+    ("lotka_volterra", {}, 43),
+    ("lotka_volterra", {"lv_standard_form": True}, 41),
+    ("duffing", {"omega": 1.5}, 41),
+    ("duffing", {"u0": 0.5}, 41),
+    ("lotka_volterra", {"train_domain": (0.5, 2.0)}, 41),
+], ids=["grid", "lv_standard_form", "omega", "u0", "t0"])
+def test_reference_memo_integrates_again_when_a_key_part_changes(integrations, name,
+                                                                 overrides, n_points):
+    # every grid starts at 0.5, the latest start time of a case
+    problems.reference_solution(problems.make_preset(name),
+                                problems.grid_points([(0.5, 3.0)], 41))
+    grid = problems.grid_points([(0.5, 3.0)], n_points)
+    out = problems.reference_solution(problems.make_preset(name, **overrides), grid)
     assert integrations["rk4"] == 2
-    np.testing.assert_array_equal(out, ode_reference(p, grid, rk4_step=step))
+    np.testing.assert_array_equal(out, ode_reference(name, overrides, grid, 1e-3))
 
 
 def test_reference_memo_returns_fresh_arrays(integrations):
     p = problems.make_preset("lotka_volterra")
     grid = problems.grid_points(p.extrap_domain, 41)
     problems.reference_solution(p, grid)[:] = np.nan
-    np.testing.assert_array_equal(problems.reference_solution(p, grid), ode_reference(p, grid))
+    np.testing.assert_array_equal(problems.reference_solution(p, grid),
+                                  ode_reference("lotka_volterra", {}, grid, 1e-3))
     assert integrations["rk4"] == 1
 
 

@@ -47,6 +47,9 @@ def test_installed_tracer_records_writes_and_stage1_loads(layertrace, tmp_path):
     calls = layertrace.summarize(tracer.spans, 1)["calls"]
     assert calls["stage1.fit"] == 1  # the second run reuses the stage-1 file
     assert calls["experiment.stage1_load"] == 1
+    # each run scores through problems.reference_solution, which the
+    # benchmark's problems.reference_* figures time
+    assert calls["problems.reference"] == 2
     # the band CSV reaches the disk through experiment._atomic_write
     spans = tracer.spans
     nested = [s for s in spans if s[0] == "experiment.write" and s[4] >= 0
